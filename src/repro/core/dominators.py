@@ -211,13 +211,20 @@ def merge_skylines(
                 union.append(q)
     if len(union) <= 1:
         return union
-    merged = [
+    return canonical_order(
         p
         for p in union
         if not any(q is not p and dominates(q, p) for q in union)
-    ]
-    merged.sort(key=lambda p: (sum(p), p))
-    return merged
+    )
+
+
+def canonical_order(points: Iterable[Sequence[float]]) -> List[Point]:
+    """One copy of each point, ascending ``(coordinate sum, point)``.
+
+    The order :func:`get_dominating_skyline` returns a skyline in: its
+    best-first traversal pops points by that key and skips repeats.
+    """
+    return sorted(set(map(tuple, points)), key=lambda p: (sum(p), p))
 
 
 def dominators_brute_force(

@@ -6,12 +6,24 @@ cost of any product below them; each popped entry is either
 
 * a **final leaf** (exact cost already computed, empty join list) — emitted
   as the next result: nothing left on the heap can beat its cost;
-* a **leaf with a join list** — its exact cost is computed by Algorithm 1
-  over the skyline of its dominators within the join-list subtrees, then it
-  is re-pushed as final;
+* a **leaf with a join list** (paper mode only) — its exact cost is
+  computed by Algorithm 1 over the skyline of its dominators within the
+  join-list subtrees, then it is re-pushed as final (lines 9-11, lazily,
+  one product per pop);
 * a **non-leaf with zero bound** (Heuristic 1) — expanded: each child
   inherits the subset of the join list overlapping its own anti-dominant
-  region and is pushed with its own bound;
+  region and is pushed with its own bound.  In corrected mode the children
+  of a T-leaf are products, and they are priced at once instead: each
+  product's dominator skyline comes from its filtered join list, one
+  :func:`~repro.core.upgrade.upgrade_batch` pass prices the whole leaf
+  (one :func:`~repro.core.upgrade.upgrade` call each with kernels off),
+  and every product is pushed as final with its exact cost.  Corrected
+  product-level LBCs escape one join-list entry, not the whole skyline,
+  so they sit far below exact costs and do not prune (on the paper's
+  layouts every product reached Algorithm 1 at k = 1, 5 and 50);
+  computing them and round-tripping each product through the heap as a
+  candidate was overhead.  Node-level bounds still decide which T-leaves
+  are expanded at all;
 * a **non-leaf with positive bound** (Heuristic 2) — one competitor-side
   entry is expanded instead (chosen by Heuristic 3 for NLB/CLB, Heuristic 4
   for ALB), its children are filtered against ``ADR(e_T.max)`` and checked
@@ -43,9 +55,12 @@ from repro.core.bounds import (
     pair_bounds_vector,
     supports_vector_bounds,
 )
-from repro.core.dominators import get_dominating_skyline_multi
+from repro.core.dominators import (
+    canonical_order,
+    get_dominating_skyline_multi,
+)
 from repro.core.types import UpgradeConfig, UpgradeOutcome, UpgradeResult
-from repro.core.upgrade import upgrade
+from repro.core.upgrade import upgrade, upgrade_batch
 from repro.costs.model import CostModel
 from repro.exceptions import ConfigurationError, UnknownOptionError
 from repro.geometry.point import dominates
@@ -209,24 +224,11 @@ class JoinUpgrader:
                         e_t.record_id, e_t.point, upgraded, cost
                     )
                     continue
-                # Lines 9-11: exact cost from the join-list dominator skyline.
+                # Lines 9-11 (paper mode): exact cost from the join-list
+                # dominator skyline.
                 skyline = self._leaf_dominator_skyline(jl, e_t.point)
-                exact_cost, upgraded_point = upgrade(
-                    skyline, e_t.point, self.cost_model, self.config, stats
-                )
-                heapq.heappush(
-                    heap,
-                    (
-                        exact_cost,
-                        _FINAL,
-                        e_t.record_id,
-                        e_t,
-                        [],
-                        [],
-                        upgraded_point,
-                    ),
-                )
-                stats.heap_pushes += 1
+                (priced,) = self._price([e_t.point], [skyline])
+                self._push_final(heap, e_t, priced)
                 continue
 
             expandable = [e for e in jl if not e.is_leaf_entry]
@@ -256,43 +258,106 @@ class JoinUpgrader:
 
     # -- internals -----------------------------------------------------------
 
+    def _price(
+        self,
+        points: List[Tuple[float, ...]],
+        skylines: List[List[Tuple[float, ...]]],
+    ) -> List[Tuple[float, Tuple[float, ...]]]:
+        """Algorithm 1 for one product (paper mode) or a whole T-leaf.
+
+        Several products with kernels on go through one
+        :func:`~repro.core.upgrade.upgrade_batch` pass; otherwise each
+        product gets its own :func:`~repro.core.upgrade.upgrade` call,
+        the scalar oracle.  Both give the same ``(cost, upgraded)``.
+        """
+        if (
+            len(points) > 1
+            and kernels_enabled()
+            and self.cost_model.supports_vectorization()
+        ):
+            return upgrade_batch(
+                skylines, points, self.cost_model, self.config, self.stats
+            )
+        return [
+            upgrade(skyline, point, self.cost_model, self.config, self.stats)
+            for skyline, point in zip(skylines, points)
+        ]
+
+    def _push_final(
+        self,
+        heap: List[tuple],
+        e_t: Entry,
+        priced: Tuple[float, Tuple[float, ...]],
+    ) -> None:
+        """Queue a priced product; it emits once nothing cheaper remains."""
+        exact_cost, upgraded_point = priced
+        heapq.heappush(
+            heap,
+            (exact_cost, _FINAL, e_t.record_id, e_t, [], [], upgraded_point),
+        )
+        self.stats.heap_pushes += 1
+
     def _leaf_dominator_skyline(
         self, jl: List[Entry], point: Tuple[float, ...]
     ) -> List[Tuple[float, ...]]:
         """Skyline of ``point``'s dominators within the join-list subtrees.
 
-        Fast path: a join list consisting purely of leaf entries is an
-        *antichain* by construction — every point entered it through the
-        mutual-dominance check of lines 25-30 against all coexisting
-        entries, and product-side filtering only takes subsets.  A subset
-        of an antichain restricted to dominators of ``point`` is therefore
-        already the dominator skyline, a single vectorized filter.  Mixed
-        join lists take the general multi-root traversal.
+        Paper mode's lazy path.  A join list of leaf entries only, at or
+        past the kernel crossover, takes the antichain rule
+        (:meth:`_antichain_skyline`) as one vectorized filter; every
+        other list takes the general multi-root traversal.
         """
-        stats = self.stats
         if kernels_enabled() and jl and len(jl) >= self.vector_jl_from and all(
             e.is_leaf_entry for e in jl
         ):
-            with span(
-                "join.leaf_skyline", jl_len=len(jl),
-                kernel_or_scalar="kernel",
-            ) as sp:
-                pts = np.array([e.point for e in jl], dtype=np.float64)
-                stats.dominance_tests += len(jl)
-                dominators = pts[dominating_mask(pts, point)]
-                # Ascending coordinate-sum order, matching the BBS-style
-                # path.
-                order = np.argsort(dominators.sum(axis=1), kind="stable")
-                skyline = [
-                    tuple(map(float, dominators[i])) for i in order
+            pts = np.array([e.point for e in jl], dtype=np.float64)
+            return self._antichain_skyline(jl, point, pts)
+        return self._traversal_skyline(jl, point)
+
+    def _antichain_skyline(
+        self,
+        jl: List[Entry],
+        point: Tuple[float, ...],
+        pts: Optional[np.ndarray] = None,
+    ) -> List[Tuple[float, ...]]:
+        """Dominator skyline of ``point`` from a join list of leaf entries.
+
+        Such a list is an *antichain* by construction: every point
+        entered it through the mutual-dominance check of lines 25-30
+        against all coexisting entries, and product-side filtering only
+        takes subsets.  Its points that dominate ``point`` are therefore
+        already the dominator skyline.  Returned in the traversal's
+        canonical order (:func:`~repro.core.dominators.canonical_order`),
+        which Algorithm 1's slotting depends on at ties.  ``pts`` (the
+        list's points as an array) selects the vectorized filter.
+        """
+        stats = self.stats
+        with span(
+            "join.leaf_skyline",
+            jl_len=len(jl),
+            kernel_or_scalar="scalar" if pts is None else "kernel",
+        ) as sp:
+            stats.dominance_tests += len(jl)
+            if pts is None:
+                dominators = [
+                    e.point for e in jl if dominates(e.point, point)
                 ]
-                stats.skyline_points += len(skyline)
-                sp.set(skyline_size=len(skyline))
-                return skyline
+            else:
+                mask = dominating_mask(pts, point)
+                dominators = [e.point for e, keep in zip(jl, mask) if keep]
+            skyline = canonical_order(dominators)
+            stats.skyline_points += len(skyline)
+            sp.set(skyline_size=len(skyline))
+            return skyline
+
+    def _traversal_skyline(
+        self, jl: List[Entry], point: Tuple[float, ...]
+    ) -> List[Tuple[float, ...]]:
+        """Dominator skyline of ``point`` under a mixed join list."""
         with span(
             "join.leaf_skyline", jl_len=len(jl), kernel_or_scalar="scalar"
         ) as sp:
-            skyline = get_dominating_skyline_multi(jl, point, stats)
+            skyline = get_dominating_skyline_multi(jl, point, self.stats)
             sp.set(skyline_size=len(skyline))
             return skyline
 
@@ -339,14 +404,21 @@ class JoinUpgrader:
         e_t: Entry,
         jl: List[Entry],
     ) -> None:
-        """Lines 14-20: push each child of ``e_t`` with its filtered list."""
+        """Lines 14-20: push each child of ``e_t`` with its filtered list.
+
+        In corrected mode the children of a T-leaf are priced at once and
+        pushed as finals (:meth:`_price_leaf`): their product-level LBCs
+        do not prune (see the module docstring), so computing them only
+        delays the Algorithm 1 call every product gets anyway.
+        """
         stats = self.stats
         stats.node_accesses += 1
+        children = e_t.child.entries
         with span(
             "join.expand",
             jl_len=len(jl),
             bound_kind=self.bound,
-            children=len(e_t.child.entries),
+            children=len(children),
         ) as sp:
             jl_lows = (
                 np.array([e.mbr.low for e in jl], dtype=np.float64)
@@ -358,11 +430,14 @@ class JoinUpgrader:
                     "kernel" if jl_lows is not None else "scalar"
                 )
             )
-            for child in e_t.child.entries:
+            masks = []
+            child_jls = []
+            for child in children:
                 child_corner = child.mbr.high
                 if jl_lows is not None:
                     mask = (jl_lows <= np.asarray(child_corner)).all(axis=1)
                     child_jl = [e for e, keep in zip(jl, mask) if keep]
+                    masks.append(mask)
                 else:
                     child_jl = [
                         e
@@ -370,6 +445,16 @@ class JoinUpgrader:
                         if mbr_overlaps_adr(e.mbr, child_corner)
                     ]
                 stats.entries_pruned += len(jl) - len(child_jl)
+                child_jls.append(child_jl)
+            if self.lbc_mode == "corrected" and e_t.child.is_leaf:
+                child_lows = (
+                    [jl_lows[mask] for mask in masks]
+                    if jl_lows is not None
+                    else [None] * len(children)
+                )
+                self._price_leaf(heap, children, child_jls, child_lows)
+                return
+            for child, child_jl in zip(children, child_jls):
                 child_pairs = self._pair_bounds(child, child_jl)
                 child_cost = join_list_bound(self.bound, child_pairs)
                 heapq.heappush(
@@ -385,6 +470,31 @@ class JoinUpgrader:
                     ),
                 )
                 stats.heap_pushes += 1
+
+    def _price_leaf(
+        self,
+        heap: List[tuple],
+        children: List[Entry],
+        child_jls: List[List[Entry]],
+        child_lows: List[Optional[np.ndarray]],
+    ) -> None:
+        """Price every product of a T-leaf and push each as final.
+
+        A product's dominator skyline comes from its filtered join list:
+        by the antichain rule when the list holds leaf entries only, by
+        the multi-root traversal otherwise.  ``child_lows`` holds each
+        list's lower corners as an array (the vectorized filter) or
+        ``None`` (the scalar one).
+        """
+        skylines = [
+            self._antichain_skyline(child_jl, child.point, lows)
+            if all(e.is_leaf_entry for e in child_jl)
+            else self._traversal_skyline(child_jl, child.point)
+            for child, child_jl, lows in zip(children, child_jls, child_lows)
+        ]
+        points = [child.point for child in children]
+        for child, priced in zip(children, self._price(points, skylines)):
+            self._push_final(heap, child, priced)
 
     def _pick_competitor_entry(
         self,
@@ -597,7 +707,8 @@ class MergeableResultStream:
         ``deadline`` (on the :data:`repro.obs.clock` timebase) makes the
         pull cooperative: it is checked before each result, so an
         expired budget returns a short batch — overshooting by at most
-        one result's worth of join expansion.  Truncation is *safe* by
+        one result's worth of join expansion (in corrected mode, one
+        T-leaf priced in one pass).  Truncation is *safe* by
         construction: the frontier stays at the last yielded cost and
         ``exhausted`` stays ``False``, so the threshold merge simply
         learns less, never something wrong.

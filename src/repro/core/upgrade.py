@@ -29,13 +29,15 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.types import UpgradeConfig
 from repro.costs.model import CostModel
 from repro.exceptions import DimensionalityError, NotAnAntichainError
 from repro.geometry.point import dominates
 from repro.instrumentation import Counters
 from repro.kernels.switch import kernels_enabled
-from repro.kernels.upgrade_enum import upgrade_kernel
+from repro.kernels.upgrade_enum import upgrade_kernel, upgrade_kernel_batch
 from repro.obs import span
 
 Point = Tuple[float, ...]
@@ -72,18 +74,11 @@ def upgrade(
     """
     p = tuple(float(v) for v in product)
     points: List[Point] = [tuple(float(v) for v in s) for s in skyline]
+    _check_skyline(points, p, config)
     if stats is not None:
         stats.upgrade_calls += 1
     if not points:
         return 0.0, p
-    dims = len(p)
-    for s in points:
-        if len(s) != dims:
-            raise DimensionalityError(
-                f"skyline point has {len(s)} dims, product has {dims}"
-            )
-    if config.validate:
-        _validate_antichain(points, p)
 
     use_kernel = (
         kernels_enabled()
@@ -110,6 +105,72 @@ def upgrade(
             with stats.timed("scalar.upgrade"):
                 return _upgrade_scalar(points, p, cost_model, config)
         return _upgrade_scalar(points, p, cost_model, config)
+
+
+def upgrade_batch(
+    skylines: Sequence[Sequence[Sequence[float]]],
+    products: Sequence[Sequence[float]],
+    cost_model: CostModel,
+    config: UpgradeConfig = _DEFAULT_CONFIG,
+    stats: Optional[Counters] = None,
+) -> List[Tuple[float, Point]]:
+    """:func:`upgrade` for several products, priced in one kernel pass.
+
+    ``skylines[i]`` is the dominator skyline of ``products[i]``.  Every
+    product's Algorithm 1 candidates go into one block that a single
+    ``vector_product_cost`` call prices, so many small skylines cost one
+    numpy dispatch instead of one Python loop each.  This is the kernel
+    path only: callers check :func:`~repro.kernels.switch.kernels_enabled`
+    and ``cost_model.supports_vectorization()`` and otherwise call
+    :func:`upgrade` per product, the oracle this must agree with.
+
+    Returns:
+        One ``(cost, upgraded_point)`` per product, in input order, exactly
+        as :func:`upgrade` returns it; ``upgrade_calls`` grows by
+        ``len(products)``.
+    """
+    points = [tuple(float(v) for v in p) for p in products]
+    for skyline, p in zip(skylines, points):
+        _check_skyline(skyline, p, config)
+    if stats is not None:
+        stats.upgrade_calls += len(points)
+    if not points:
+        return []
+    rows = [s for skyline in skylines for s in skyline]
+    with span(
+        "upgrade.algorithm1",
+        products=len(points),
+        skyline_size=len(rows),
+        kernel_or_scalar="kernel",
+    ):
+        args = (
+            np.array(rows, dtype=np.float64).reshape(-1, len(points[0])),
+            [len(skyline) for skyline in skylines],
+            np.array(points, dtype=np.float64),
+            cost_model,
+            config.epsilon,
+            config.extended,
+        )
+        if stats is None:
+            return upgrade_kernel_batch(*args)
+        with stats.timed("kernel.upgrade"):
+            return upgrade_kernel_batch(*args)
+
+
+def _check_skyline(
+    skyline: Sequence[Sequence[float]],
+    product: Point,
+    config: UpgradeConfig,
+) -> None:
+    """Dimensionality, and in validating mode Lemma 1's preconditions."""
+    dims = len(product)
+    for s in skyline:
+        if len(s) != dims:
+            raise DimensionalityError(
+                f"skyline point has {len(s)} dims, product has {dims}"
+            )
+    if config.validate and skyline:
+        _validate_antichain(skyline, product)
 
 
 def _upgrade_scalar(
@@ -171,7 +232,9 @@ def _upgrade_scalar(
 _VECTOR_THRESHOLD = 48
 
 
-def _validate_antichain(points: List[Point], product: Point) -> None:
+def _validate_antichain(
+    points: Sequence[Sequence[float]], product: Point
+) -> None:
     """Check Lemma 1's preconditions on the skyline input."""
     for i, a in enumerate(points):
         if not dominates(a, product):

@@ -44,7 +44,9 @@ from repro.kernels.switch import (
 )
 from repro.kernels.upgrade_enum import (
     enumerate_candidates,
+    enumerate_candidates_batch,
     upgrade_kernel,
+    upgrade_kernel_batch,
 )
 
 __all__ = [
@@ -54,10 +56,12 @@ __all__ = [
     "dominated_mask",
     "dominating_mask",
     "enumerate_candidates",
+    "enumerate_candidates_batch",
     "kernels_enabled",
     "pair_bounds_block",
     "pairwise_dominance",
     "set_kernels_enabled",
     "upgrade_kernel",
+    "upgrade_kernel_batch",
     "use_kernels",
 ]

@@ -6,6 +6,7 @@ construction path (legacy kwargs warn exactly once), and misspelled
 string selectors fail up front with the valid choices listed.
 """
 
+import inspect
 import warnings
 
 import numpy as np
@@ -122,6 +123,18 @@ class TestEngineConfig:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             EngineConfig().workers = 4
+
+
+class TestDefaultMethods:
+    """The documented defaults: ``join`` for the one-shot API, ``auto``
+    (planner-chosen) for the serving engine."""
+
+    def test_top_k_upgrades_defaults_to_join(self):
+        params = inspect.signature(top_k_upgrades).parameters
+        assert params["method"].default == "join"
+
+    def test_engine_defaults_to_auto(self):
+        assert EngineConfig().method == "auto"
 
 
 class TestOptionValidation:

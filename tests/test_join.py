@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.join import JoinUpgrader
+from repro.core.probing import improved_probing
+from repro.core.types import UpgradeConfig
 from repro.core.verify import brute_force_topk, verify_results
 from repro.costs.model import paper_cost_model
 from repro.data.generators import paper_workload
 from repro.exceptions import ConfigurationError
+from repro.kernels import use_kernels
 from repro.rtree.tree import RTree
 
 from conftest import make_mixed_instance
@@ -173,6 +176,75 @@ class TestReportsAndProgressiveness:
         assert upgrader.stats.heap_pops == first
 
 
+def _tied_paper_layout():
+    """3-d paper layout plus repeated products (equal-cost ties)."""
+    competitors, products = paper_workload(
+        "independent", 400, 60, 3, seed=9
+    )
+    return competitors, np.vstack([products, products[::7]])
+
+
+@pytest.mark.parametrize("kernels", [True, False])
+@pytest.mark.parametrize("bound", BOUNDS)
+class TestCorrectedLeafPricing:
+    """Corrected mode prices each T-leaf's products in one pass."""
+
+    @pytest.mark.parametrize("k", [1, 5, None])
+    def test_stream_matches_improved_probing(self, bound, kernels, k):
+        competitors, products = _tied_paper_layout()
+        k = k or len(products)
+        model = paper_cost_model(3)
+        # Validating mode: every priced skyline must be a true antichain
+        # of dominators (Lemma 1), on both paths.
+        config = UpgradeConfig(validate=True)
+        tree_p, tree_t = build(competitors, products)
+        with use_kernels(kernels):
+            probing = improved_probing(tree_p, products, model, k, config)
+            outcome = JoinUpgrader(
+                tree_p, tree_t, model, bound=bound, config=config
+            ).run(k)
+        assert [(r.record_id, r.cost) for r in outcome.results] == [
+            (r.record_id, r.cost) for r in probing.results
+        ]
+        assert [r.upgraded for r in outcome.results] == [
+            r.upgraded for r in probing.results
+        ]
+
+    @pytest.mark.parametrize("k", [1, 5, None])
+    def test_every_product_priced_once(self, bound, kernels, k):
+        competitors, products = _tied_paper_layout()
+        model = paper_cost_model(3)
+        tree_p, tree_t = build(competitors, products)
+        upgrader = JoinUpgrader(tree_p, tree_t, model, bound=bound)
+        with use_kernels(kernels):
+            upgrader.run(k or len(products))
+        assert upgrader.stats.upgrade_calls == len(products)
+
+    def test_lbc_work_does_not_grow_with_leaf_size(self, bound, kernels):
+        """Products added inside a T-leaf's MBR add no LBC evaluations."""
+        rng = np.random.default_rng(3)
+        competitors = 0.05 + rng.random((300, 2))
+        corners = [(0.6, 1.4), (1.4, 0.6), (0.6, 0.6), (1.4, 1.4)]
+        inner = 0.6 + rng.random((20, 2)) * 0.8
+        model = paper_cost_model(2)
+        tree_p = RTree.bulk_load(competitors, max_entries=8)
+        counts = {}
+        for name, products in (
+            ("corners", corners),
+            ("filled", np.vstack([corners, inner])),
+        ):
+            tree_t = RTree.bulk_load(products, max_entries=32)
+            assert tree_t.root_entry().child.is_leaf
+            upgrader = JoinUpgrader(tree_p, tree_t, model, bound=bound)
+            with use_kernels(kernels):
+                upgrader.run(len(products))
+            counts[name] = upgrader.stats
+        assert counts["filled"].lbc_evaluations == (
+            counts["corners"].lbc_evaluations
+        )
+        assert counts["filled"].upgrade_calls == 24
+
+
 class TestLbcModes:
     def test_corrected_matches_oracle_where_paper_mode_may_not(self):
         competitors, products = paper_workload(
@@ -192,3 +264,39 @@ class TestLbcModes:
         verify_results(paper.results, competitors, model)
         # ... but may rank costlier products first (the documented defect).
         assert [r.cost for r in paper.results][0] >= oracle[0].cost - 1e-9
+
+    @pytest.mark.parametrize(
+        "kernels, expected",
+        [
+            (
+                True,
+                dict(
+                    node_accesses=65, dominance_tests=116020,
+                    heap_pushes=153, heap_pops=71, upgrade_calls=3,
+                    lbc_evaluations=5275, points_scanned=0,
+                    entries_pruned=819, skyline_points=168,
+                ),
+            ),
+            (
+                False,
+                dict(
+                    node_accesses=65, dominance_tests=129712,
+                    heap_pushes=489, heap_pops=407, upgrade_calls=3,
+                    lbc_evaluations=5275, points_scanned=168,
+                    entries_pruned=819, skyline_points=168,
+                ),
+            ),
+        ],
+    )
+    def test_paper_mode_work_is_pinned(self, kernels, expected):
+        """Paper mode stays lazy, one product per pop (Algorithm 4
+        lines 9-11 verbatim): its work counters are pinned exactly."""
+        competitors, products = paper_workload(
+            "anti_correlated", 2000, 150, 2, seed=1
+        )
+        model = paper_cost_model(2)
+        tree_p, tree_t = build(competitors, products, max_entries=16)
+        upgrader = JoinUpgrader(tree_p, tree_t, model, lbc_mode="paper")
+        with use_kernels(kernels):
+            upgrader.run(3)
+        assert upgrader.stats.as_dict() == expected

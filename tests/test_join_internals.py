@@ -136,15 +136,21 @@ class TestLeafFastPath:
     def test_antichain_fast_path_matches_traversal(self, upgrader):
         rng = np.random.default_rng(7)
         # Build an antichain join list large enough for the fast path.
-        pts = sorted(
-            {(round(x, 3), round(1.0 - x, 3)) for x in rng.random(40)}
-        )
+        pts = [
+            (round(x, 3), round(1.0 - x, 3)) for x in rng.random(40)
+        ]
+        # A coordinate-sum tie between distinct points, listed so that
+        # join-list order is not (sum, point) order, and a duplicate.
+        pts += [(0.4, 0.6), (0.3, 0.7), (0.4, 0.6)]
+        rng.shuffle(pts)
         jl = [leaf_entry(p, i) for i, p in enumerate(pts)]
         assert len(jl) >= _VECTOR_JL_FROM
         t = (0.9, 0.9)
         fast = upgrader._leaf_dominator_skyline(jl, t)
         slow = get_dominating_skyline_multi(jl, t)
-        assert sorted(fast) == sorted(slow)
+        assert fast == slow  # same points, same order, one copy each
+        assert fast.count((0.4, 0.6)) == 1
+        assert fast.index((0.3, 0.7)) < fast.index((0.4, 0.6))
         for p in fast:
             assert dominates(p, t)
 

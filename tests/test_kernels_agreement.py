@@ -23,7 +23,7 @@ from repro.core.bounds import (
 )
 from repro.core.dominators import get_dominating_skyline
 from repro.core.types import UpgradeConfig
-from repro.core.upgrade import _upgrade_scalar, upgrade
+from repro.core.upgrade import _upgrade_scalar, upgrade, upgrade_batch
 from repro.costs.model import paper_cost_model
 from repro.instrumentation import Counters
 from repro.kernels import (
@@ -33,11 +33,13 @@ from repro.kernels import (
     dominated_mask,
     dominating_mask,
     enumerate_candidates,
+    enumerate_candidates_batch,
     kernels_enabled,
     pair_bounds_block,
     pairwise_dominance,
     set_kernels_enabled,
     upgrade_kernel,
+    upgrade_kernel_batch,
     use_kernels,
 )
 from repro.rtree.tree import RTree
@@ -227,6 +229,89 @@ def test_enumerate_candidates_shape_and_order():
     )
     assert extended.shape == (2 * (1 + 2 + 1), 2)
     assert tuple(extended[3]) == (4.0, 0.5)  # tail keeps p's own d_0
+
+
+def _batch_instance(rng, dims: int):
+    """Products for one batch: empty, tied and duplicated skylines.
+
+    Coordinates sit on a quarter grid, so skyline points share values
+    on every dimension (exact ties in each per-dimension sort) and
+    products tie with skyline values too.
+    """
+    skylines, products = [], []
+    for _ in range(int(rng.integers(1, 14))):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:  # no dominators: already competitive
+            skylines.append([])
+            products.append(tuple(float(v) for v in rng.random(dims)))
+            continue
+        n = int(rng.integers(1, 25))
+        cloud = rng.integers(1, 8, size=(n, dims)) / 4.0
+        skyline = bnl_skyline([tuple(map(float, row)) for row in cloud])
+        if kind == 1:  # duplicated competitor points
+            skyline = skyline + skyline[: max(1, len(skyline) // 2)]
+        skylines.append(skyline)
+        products.append(
+            tuple(max(s[d] for s in skyline) + 0.25 for d in range(dims))
+        )
+    return skylines, products
+
+
+@pytest.mark.parametrize("dims", [2, 3, 4, 5])
+@pytest.mark.parametrize("extended", [False, True])
+def test_upgrade_kernel_batch_matches_scalar(dims, extended):
+    """One batch pass gives each product ``upgrade()``'s scalar answer."""
+    model = paper_cost_model(dims)
+    config = UpgradeConfig(epsilon=1e-6, extended=extended)
+    rng = np.random.default_rng(dims * 31 + int(extended))
+    for _ in range(10):
+        skylines, products = _batch_instance(rng, dims)
+        with use_kernels(False):
+            expected = [
+                upgrade(sky, p, model, config)
+                for sky, p in zip(skylines, products)
+            ]
+        rows = np.array(
+            [s for sky in skylines for s in sky], dtype=np.float64
+        ).reshape(-1, dims)
+        counts = [len(sky) for sky in skylines]
+        got = upgrade_kernel_batch(
+            rows, counts, np.array(products), model,
+            config.epsilon, config.extended,
+        )
+        assert [pt for _, pt in got] == [pt for _, pt in expected]
+        for (cost, _), (oracle_cost, _) in zip(got, expected):
+            assert cost == pytest.approx(oracle_cost, abs=1e-9)
+        stats = Counters()
+        checked = UpgradeConfig(
+            epsilon=1e-6, extended=extended, validate=True
+        )
+        assert upgrade_batch(
+            skylines, products, model, checked, stats
+        ) == got
+        assert stats.upgrade_calls == len(products)
+
+
+def test_enumerate_candidates_batch_concatenates_segments():
+    """Each product's segment is its single-product block, in order."""
+    rng = np.random.default_rng(5)
+    pairs = [
+        (sky, p) for sky, p in zip(*_batch_instance(rng, 3)) if sky
+    ]
+    assert len(pairs) > 1
+    skylines, products = zip(*pairs)
+    for extended in (False, True):
+        block, starts = enumerate_candidates_batch(
+            np.array([s for sky in skylines for s in sky]),
+            [len(sky) for sky in skylines],
+            np.array(products),
+            0.5,
+            extended,
+        )
+        assert starts[-1] == len(block)
+        for i, (sky, p) in enumerate(zip(skylines, products)):
+            single = enumerate_candidates(np.array(sky), p, 0.5, extended)
+            assert np.array_equal(block[starts[i] : starts[i + 1]], single)
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 5), st.booleans())
