@@ -33,6 +33,19 @@ cost of any product below them; each popped entry is either
 The traversal is *progressive*: results stream out in ascending cost order
 without processing all of ``T`` (:meth:`JoinUpgrader.results`).
 
+With kernels on and a join list past the crossover, each join step is one
+broadcast over whole blocks instead of a mask call per entry: the
+refinement's dominance checks of all children against the join list, the
+expansion's ADR filters of all children, and the antichain skylines of all
+products of a T-leaf.  The refinement loop is sequential — a child only
+sees the join-list entries earlier children left — yet one broadcast
+reproduces it exactly, because whether a child removes an entry does not
+depend on any flag: the entries live at child ``i`` are those no earlier
+child removes, a cumulative OR over the removal matrix
+(:meth:`JoinUpgrader._refine_vector`).  Answers and every work counter
+equal the scalar loops', which stay as the oracle (kernels off, or short
+join lists).
+
 Two cases the paper leaves implicit are resolved as documented in DESIGN.md:
 a positive-bound node whose join list holds only leaf entries expands the
 product-side entry (Heuristic 2 needs a non-leaf), and ``LBC(e_T, ∅) = 0``.
@@ -303,22 +316,19 @@ class JoinUpgrader:
         """Skyline of ``point``'s dominators within the join-list subtrees.
 
         Paper mode's lazy path.  A join list of leaf entries only, at or
-        past the kernel crossover, takes the antichain rule
-        (:meth:`_antichain_skyline`) as one vectorized filter; every
+        past the kernel crossover, takes the antichain rule as one
+        broadcast (:meth:`_antichain_skylines` with one product); every
         other list takes the general multi-root traversal.
         """
         if kernels_enabled() and jl and len(jl) >= self.vector_jl_from and all(
             e.is_leaf_entry for e in jl
         ):
-            pts = np.array([e.point for e in jl], dtype=np.float64)
-            return self._antichain_skyline(jl, point, pts)
+            self.stats.dominance_tests += len(jl)
+            return self._antichain_skylines(jl, [point])[0]
         return self._traversal_skyline(jl, point)
 
     def _antichain_skyline(
-        self,
-        jl: List[Entry],
-        point: Tuple[float, ...],
-        pts: Optional[np.ndarray] = None,
+        self, jl: List[Entry], point: Tuple[float, ...]
     ) -> List[Tuple[float, ...]]:
         """Dominator skyline of ``point`` from a join list of leaf entries.
 
@@ -328,27 +338,55 @@ class JoinUpgrader:
         takes subsets.  Its points that dominate ``point`` are therefore
         already the dominator skyline.  Returned in the traversal's
         canonical order (:func:`~repro.core.dominators.canonical_order`),
-        which Algorithm 1's slotting depends on at ties.  ``pts`` (the
-        list's points as an array) selects the vectorized filter.
+        which Algorithm 1's slotting depends on at ties.  The scalar
+        oracle of :meth:`_antichain_skylines`.
         """
         stats = self.stats
         with span(
-            "join.leaf_skyline",
-            jl_len=len(jl),
-            kernel_or_scalar="scalar" if pts is None else "kernel",
+            "join.leaf_skyline", jl_len=len(jl), kernel_or_scalar="scalar"
         ) as sp:
             stats.dominance_tests += len(jl)
-            if pts is None:
-                dominators = [
-                    e.point for e in jl if dominates(e.point, point)
-                ]
-            else:
-                mask = dominating_mask(pts, point)
-                dominators = [e.point for e, keep in zip(jl, mask) if keep]
+            dominators = [e.point for e in jl if dominates(e.point, point)]
             skyline = canonical_order(dominators)
             stats.skyline_points += len(skyline)
             sp.set(skyline_size=len(skyline))
             return skyline
+
+    def _antichain_skylines(
+        self, jl: List[Entry], points: List[Tuple[float, ...]]
+    ) -> List[List[Tuple[float, ...]]]:
+        """Antichain-rule dominator skylines of several products at once.
+
+        ``jl`` holds leaf entries only (see :meth:`_antichain_skyline`).
+        Its points are put into canonical order once; one
+        :func:`~repro.kernels.dominance.dominating_mask` broadcast then
+        marks, per product, which of them dominate it.  ``(sum, point)``
+        totally orders distinct points, so filtering the one sorted list
+        gives exactly what sorting and de-duplicating each product's own
+        dominators gives.  The caller charges the dominance tests (one
+        per entry of each product's own filtered list).
+        """
+        with span(
+            "join.leaf_skyline",
+            jl_len=len(jl),
+            products=len(points),
+            kernel_or_scalar="kernel",
+        ) as sp:
+            order = canonical_order(e.point for e in jl)
+            if order and points:
+                rows = dominating_mask(
+                    np.array(order, dtype=np.float64),
+                    np.array(points, dtype=np.float64),
+                ).tolist()
+            else:
+                rows = [[]] * len(points)
+            skylines = [
+                [p for p, keep in zip(order, row) if keep] for row in rows
+            ]
+            size = sum(map(len, skylines))
+            self.stats.skyline_points += size
+            sp.set(skyline_size=size)
+            return skylines
 
     def _traversal_skyline(
         self, jl: List[Entry], point: Tuple[float, ...]
@@ -406,6 +444,8 @@ class JoinUpgrader:
     ) -> None:
         """Lines 14-20: push each child of ``e_t`` with its filtered list.
 
+        With kernels on and the join list past the crossover, every
+        child's ADR filter comes from one ``(children, |JL|)`` broadcast.
         In corrected mode the children of a T-leaf are priced at once and
         pushed as finals (:meth:`_price_leaf`): their product-level LBCs
         do not prune (see the module docstring), so computing them only
@@ -414,45 +454,36 @@ class JoinUpgrader:
         stats = self.stats
         stats.node_accesses += 1
         children = e_t.child.entries
+        vector = kernels_enabled() and len(jl) >= self.vector_jl_from
         with span(
             "join.expand",
             jl_len=len(jl),
             bound_kind=self.bound,
             children=len(children),
-        ) as sp:
-            jl_lows = (
-                np.array([e.mbr.low for e in jl], dtype=np.float64)
-                if kernels_enabled() and len(jl) >= self.vector_jl_from
-                else None
-            )
-            sp.set(
-                kernel_or_scalar=(
-                    "kernel" if jl_lows is not None else "scalar"
+            kernel_or_scalar="kernel" if vector else "scalar",
+        ):
+            if vector:
+                jl_lows = np.array([e.mbr.low for e in jl], dtype=np.float64)
+                child_highs = np.array(
+                    [child.mbr.high for child in children], dtype=np.float64
                 )
-            )
-            masks = []
-            child_jls = []
-            for child in children:
-                child_corner = child.mbr.high
-                if jl_lows is not None:
-                    mask = (jl_lows <= np.asarray(child_corner)).all(axis=1)
-                    child_jl = [e for e, keep in zip(jl, mask) if keep]
-                    masks.append(mask)
-                else:
-                    child_jl = [
-                        e
-                        for e in jl
-                        if mbr_overlaps_adr(e.mbr, child_corner)
-                    ]
+                adr_rows = (
+                    (jl_lows[None, :, :] <= child_highs[:, None, :])
+                    .all(axis=2)
+                    .tolist()
+                )
+                child_jls = [
+                    [e for e, keep in zip(jl, row) if keep] for row in adr_rows
+                ]
+            else:
+                child_jls = [
+                    [e for e in jl if mbr_overlaps_adr(e.mbr, child.mbr.high)]
+                    for child in children
+                ]
+            for child_jl in child_jls:
                 stats.entries_pruned += len(jl) - len(child_jl)
-                child_jls.append(child_jl)
             if self.lbc_mode == "corrected" and e_t.child.is_leaf:
-                child_lows = (
-                    [jl_lows[mask] for mask in masks]
-                    if jl_lows is not None
-                    else [None] * len(children)
-                )
-                self._price_leaf(heap, children, child_jls, child_lows)
+                self._price_leaf(heap, jl, children, child_jls, vector)
                 return
             for child, child_jl in zip(children, child_jls):
                 child_pairs = self._pair_bounds(child, child_jl)
@@ -474,25 +505,55 @@ class JoinUpgrader:
     def _price_leaf(
         self,
         heap: List[tuple],
+        jl: List[Entry],
         children: List[Entry],
         child_jls: List[List[Entry]],
-        child_lows: List[Optional[np.ndarray]],
+        vector: bool,
     ) -> None:
         """Price every product of a T-leaf and push each as final.
 
         A product's dominator skyline comes from its filtered join list:
         by the antichain rule when the list holds leaf entries only, by
-        the multi-root traversal otherwise.  ``child_lows`` holds each
-        list's lower corners as an array (the vectorized filter) or
-        ``None`` (the scalar one).
+        the multi-root traversal otherwise.  With ``vector`` set, every
+        antichain product of the leaf is served by one
+        :meth:`_antichain_skylines` call over the leaf entries of the
+        T-leaf's join list ``jl``: a point that dominates a product lies
+        in the product's ADR, so the product's own filter drops none of
+        its dominators.  Without it, each product takes the scalar
+        :meth:`_antichain_skyline`, the oracle.
         """
-        skylines = [
-            self._antichain_skyline(child_jl, child.point, lows)
-            if all(e.is_leaf_entry for e in child_jl)
-            else self._traversal_skyline(child_jl, child.point)
-            for child, child_jl, lows in zip(children, child_jls, child_lows)
-        ]
         points = [child.point for child in children]
+        shared = {}
+        if vector:
+            leaf_entries = [e for e in jl if e.is_leaf_entry]
+            antichain = (
+                range(len(children))
+                if len(leaf_entries) == len(jl)
+                else [
+                    i
+                    for i, child_jl in enumerate(child_jls)
+                    if all(e.is_leaf_entry for e in child_jl)
+                ]
+            )
+            self.stats.dominance_tests += sum(
+                len(child_jls[i]) for i in antichain
+            )
+            shared = dict(
+                zip(
+                    antichain,
+                    self._antichain_skylines(
+                        leaf_entries, [points[i] for i in antichain]
+                    ),
+                )
+            )
+        skylines = [
+            shared[i]
+            if i in shared
+            else self._antichain_skyline(child_jl, point)
+            if all(e.is_leaf_entry for e in child_jl)
+            else self._traversal_skyline(child_jl, point)
+            for i, (point, child_jl) in enumerate(zip(points, child_jls))
+        ]
         for child, priced in zip(children, self._price(points, skylines)):
             self._push_final(heap, child, priced)
 
@@ -589,15 +650,9 @@ class JoinUpgrader:
         stats.entries_pruned += len(picked.child.entries) - len(children)
 
         n = len(base)
-        use_vector = kernels_enabled() and n >= self.vector_jl_from
-        if use_vector:
-            base_lows = np.array(
-                [e.mbr.low for e, _ in base], dtype=np.float64
-            )
-            base_highs = np.array(
-                [e.mbr.high for e, _ in base], dtype=np.float64
-            )
-            keep = np.ones(n, dtype=bool)
+        if kernels_enabled() and n >= self.vector_jl_from:
+            combined = self._refine_vector(t_low, base, children)
+            return [e for e, _ in combined], [pair for _, pair in combined]
         added: List[Tuple[Entry, Pair]] = []
 
         for child in children:
@@ -605,27 +660,19 @@ class JoinUpgrader:
             child_high = child.mbr.high
             flag = False
             if n:
-                if use_vector:
-                    stats.dominance_tests += 2 * int(keep.sum())
-                    dominated = dominating_mask(base_highs, child_low) & keep
-                    flag = bool(dominated.any())
-                    removable = dominated_mask(base_lows, child_high) & keep
-                    stats.entries_pruned += int(removable.sum())
-                    keep &= ~removable
-                else:
-                    survivors: List[Tuple[Entry, Pair]] = []
-                    for e_p, pair in base:
-                        stats.dominance_tests += 2
-                        if dominates(e_p.mbr.high, child_low):
-                            flag = True
-                            survivors.append((e_p, pair))
-                            continue
-                        if dominates(child_high, e_p.mbr.low):
-                            stats.entries_pruned += 1
-                            continue
+                survivors: List[Tuple[Entry, Pair]] = []
+                for e_p, pair in base:
+                    stats.dominance_tests += 2
+                    if dominates(e_p.mbr.high, child_low):
+                        flag = True
                         survivors.append((e_p, pair))
-                    base = survivors
-                    n = len(base)
+                        continue
+                    if dominates(child_high, e_p.mbr.low):
+                        stats.entries_pruned += 1
+                        continue
+                    survivors.append((e_p, pair))
+                base = survivors
+                n = len(base)
             # Mutual checks against previously surviving children.
             retained: List[Tuple[Entry, Pair]] = []
             for a_entry, a_pair in added:
@@ -650,16 +697,84 @@ class JoinUpgrader:
             )
             added.append((child, child_pair))
 
-        if use_vector:
-            survivors_base = [
-                bp for bp, kept in zip(base, keep) if kept
-            ]
-        else:
-            survivors_base = base
-        combined = survivors_base + added
+        combined = base + added
         new_jl = [e for e, _ in combined]
         new_pairs = [pair for _, pair in combined]
         return new_jl, new_pairs
+
+    def _refine_vector(
+        self,
+        t_low: Tuple[float, ...],
+        base: List[Tuple[Entry, Pair]],
+        children: List[Entry],
+    ) -> List[Tuple[Entry, Pair]]:
+        """The kernel path of lines 22-31: one broadcast per matrix.
+
+        The scalar loop checks child ``i`` against the base entries still
+        live after children ``0..i-1`` removed theirs.  Whether child
+        ``i`` removes base entry ``j`` (``rem[i, j]``: ``child_high[i]``
+        dominates ``base_low[j]``) depends on neither the flags nor the
+        order, so the entries live at child ``i`` are exactly
+        ``~OR_{i' < i} rem[i']`` — a cumulative OR shifted down one row —
+        and ``flag_i = any(dom[i] & live_i)`` with ``dom[i, j]``:
+        ``base_high[j]`` dominates ``child_low[i]``.  (No entry is both:
+        dominating the child and being dominated by it would need
+        ``base_high <= child_low <= child_high <= base_low``, strictly
+        somewhere.)  Sibling checks read one children × children matrix.
+        Every counter equals the scalar loop's; new children's LBCs stay
+        scalar :func:`~repro.core.bounds.lbc` calls, like the loop's.
+        Returns the surviving base entries, then the added children.
+        """
+        stats = self.stats
+        if not children:
+            return base
+        base_lows = np.array([e.mbr.low for e, _ in base], dtype=np.float64)
+        base_highs = np.array([e.mbr.high for e, _ in base], dtype=np.float64)
+        child_lows = np.array([c.mbr.low for c in children], dtype=np.float64)
+        child_highs = np.array(
+            [c.mbr.high for c in children], dtype=np.float64
+        )
+        dom = dominating_mask(base_highs, child_lows)
+        rem = dominated_mask(base_lows, child_highs)
+        removed = np.logical_or.accumulate(rem, axis=0)
+        live = np.ones_like(rem)
+        live[1:] = ~removed[:-1]
+        flags = (dom & live).any(axis=1).tolist()
+        stats.dominance_tests += 2 * int(live.sum())
+        stats.entries_pruned += int((rem & live).sum())
+        # over[i][a]: child i's high corner dominates child a's low corner.
+        over = dominated_mask(child_lows, child_highs).tolist()
+
+        added: List[int] = []
+        child_pairs = {}
+        for i, child in enumerate(children):
+            flag = flags[i]
+            retained: List[int] = []
+            for a in added:
+                stats.dominance_tests += 2
+                if not flag and over[a][i]:
+                    flag = True
+                if over[i][a]:
+                    stats.entries_pruned += 1
+                    continue
+                retained.append(a)
+            added = retained
+            if flag:
+                stats.entries_pruned += 1
+                continue
+            child_pairs[i] = lbc(
+                t_low,
+                child.mbr.low,
+                child.mbr.high,
+                self.cost_model,
+                stats,
+                self.lbc_mode,
+            )
+            added.append(i)
+        survivors = [
+            bp for bp, gone in zip(base, removed[-1].tolist()) if not gone
+        ]
+        return survivors + [(children[i], child_pairs[i]) for i in added]
 
     # -- sharded execution ----------------------------------------------------
 

@@ -2,9 +2,11 @@
 
 The scalar :func:`repro.geometry.point.dominates` compares two points; these
 kernels compare one point against a whole ``(n, d)`` block — or two blocks
-against each other — in a constant number of numpy dispatches.  All kernels
-use the paper's smaller-is-better convention: ``p`` dominates ``q`` iff
-``p <= q`` everywhere and ``p < q`` somewhere.
+against each other — in a constant number of numpy dispatches.  The two
+mask kernels also take an ``(m, d)`` block of query points and then
+return the ``(m, n)`` matrix, one row per query, in one broadcast.  All
+kernels use the paper's smaller-is-better convention: ``p`` dominates
+``q`` iff ``p <= q`` everywhere and ``p < q`` somewhere.
 
 Inputs are plain arrays (or anything ``np.asarray`` accepts), so the
 kernels serve both :class:`repro.kernels.block.PointBlock` data and the
@@ -32,12 +34,17 @@ def dominating_mask(
     """Boolean mask of block rows that dominate ``point``.
 
     ``mask[i]`` is True iff ``block[i] <= point`` on every dimension and
-    ``block[i] < point`` on at least one.
+    ``block[i] < point`` on at least one.  With an ``(m, d)`` block of
+    query points, ``mask[i, j]`` is True iff ``block[j]`` dominates
+    ``point[i]``.
 
     Scalar oracle: `repro.geometry.point.dominates`
     """
     rows = _as_block(block)
     row = _as_row(point)
+    if row.ndim == 2:
+        rows, row = rows[None, :, :], row[:, None, :]
+        return (rows <= row).all(axis=2) & (rows < row).any(axis=2)
     return (rows <= row).all(axis=1) & (rows < row).any(axis=1)
 
 
@@ -46,10 +53,16 @@ def dominated_mask(
 ) -> np.ndarray:
     """Boolean mask of block rows that ``point`` dominates.
 
+    With an ``(m, d)`` block of query points, ``mask[i, j]`` is True iff
+    ``point[i]`` dominates ``block[j]``.
+
     Scalar oracle: `repro.geometry.point.dominates`
     """
     rows = _as_block(block)
     row = _as_row(point)
+    if row.ndim == 2:
+        rows, row = rows[None, :, :], row[:, None, :]
+        return (row <= rows).all(axis=2) & (row < rows).any(axis=2)
     return (row <= rows).all(axis=1) & (row < rows).any(axis=1)
 
 
@@ -77,8 +90,7 @@ def pairwise_dominance(
     """The ``(len(a), len(b))`` matrix of ``a[i] dominates b[j]``.
 
     Materializes an ``(n, m, d)`` broadcast — intended for agreement tests
-    and moderate blocks, not for the streaming hot paths (which only ever
-    need one-vs-block masks).
+    and moderate blocks.
 
     Scalar oracle: `repro.geometry.point.dominates`
     """

@@ -3,10 +3,11 @@
 A :class:`CatalogProfile` condenses everything the cost formulas need:
 set sizes, dimensionality, R-tree shape (node counts, heights, fanout),
 and the estimated dominator-skyline size Ŝ.  Profiling must stay cheap
-relative to the queries it optimizes, so the competitor tree is walked
-once (:func:`repro.rtree.stats.collect_stats` plus a strided skyline
-sample) and the product tree — which the probing methods never build —
-is characterized analytically from its size alone.
+relative to the queries it optimizes — the serving engine re-profiles
+after every write — so a tree's shape comes from a walk over its nodes
+alone (:func:`_tree_shape`), the competitor skyline from a strided
+sample, and a product tree that was not built (the probing methods never
+build one) is characterized analytically from its size alone.
 """
 
 from __future__ import annotations
@@ -15,11 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.rtree.stats import (
-    collect_stats,
-    estimate_skyline_size,
-    sample_skyline_size,
-)
+from repro.rtree.stats import estimate_skyline_size, sample_skyline_size
 from repro.rtree.tree import RTree
 
 #: STR bulk loading fills leaves nearly to capacity; dynamic trees settle
@@ -81,6 +78,20 @@ def _analytic_tree_shape(n: int, max_entries: int) -> tuple:
     return nodes, height
 
 
+def _tree_shape(tree: RTree) -> tuple:
+    """(nodes, height, leaves) of a non-empty ``tree``, visiting nodes only."""
+    nodes = leaves = 0
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if node.is_leaf:
+            leaves += 1
+        else:
+            stack.extend(e.child for e in node.entries)
+    return nodes, tree.height, leaves
+
+
 def profile_catalog(
     competitor_tree: RTree,
     n_products: int,
@@ -108,18 +119,16 @@ def profile_catalog(
         skyline = 0.0
         competitor_nodes, competitor_height, fanout = 1, 1, 0.0
     else:
-        tree_stats = collect_stats(competitor_tree)
-        competitor_nodes = tree_stats.node_count
-        competitor_height = tree_stats.height
-        fanout = tree_stats.leaf_fill
+        competitor_nodes, competitor_height, leaves = _tree_shape(
+            competitor_tree
+        )
+        fanout = n_p / leaves
         if sample:
             skyline = sample_skyline_size(competitor_tree, dims)
         else:
             skyline = estimate_skyline_size(n_p, dims)
     if product_tree is not None and not product_tree.is_empty():
-        product_stats = collect_stats(product_tree)
-        product_nodes = product_stats.node_count
-        product_height = product_stats.height
+        product_nodes, product_height, _ = _tree_shape(product_tree)
     else:
         product_nodes, product_height = _analytic_tree_shape(
             n_products, max_entries

@@ -12,6 +12,8 @@ from repro.core.dominators import get_dominating_skyline_multi
 from repro.core.join import JoinUpgrader, _VECTOR_JL_FROM
 from repro.costs.model import paper_cost_model
 from repro.geometry.point import dominates
+from repro.instrumentation import Counters
+from repro.kernels import use_kernels
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree
@@ -165,3 +167,104 @@ class TestLeafFastPath:
         jl = [leaf_entry((0.3, 0.3)), leaf_entry((0.6, 0.2))]
         result = upgrader._leaf_dominator_skyline(jl, (1.0, 1.0))
         assert sorted(result) == [(0.3, 0.3), (0.6, 0.2)]
+
+
+def _refine_both_ways(upgrader, e_t, jl, pairs, picked):
+    """``_refine_join_list_inner`` with kernels on, then off."""
+    runs = []
+    for enabled in (True, False):
+        upgrader.stats = Counters()
+        with use_kernels(enabled):
+            new_jl, new_pairs = upgrader._refine_join_list_inner(
+                e_t, jl, pairs, picked
+            )
+        runs.append((new_jl, new_pairs, upgrader.stats))
+    return runs
+
+
+def _assert_same_refinement(runs):
+    (jl_on, pairs_on, on), (jl_off, pairs_off, off) = runs
+    assert [id(e) for e in jl_on] == [id(e) for e in jl_off]
+    assert pairs_on == pairs_off
+    for field in ("dominance_tests", "entries_pruned", "lbc_evaluations"):
+        assert getattr(on, field) == getattr(off, field), field
+
+
+class TestRefineBroadcastMatchesLoop:
+    """The kernel path of lines 22-31 replays the scalar loop exactly."""
+
+    @pytest.mark.parametrize("lbc_mode", ["corrected", "paper"])
+    def test_earlier_child_removes_a_later_childs_dominator(self, lbc_mode):
+        tree = RTree.bulk_load([(0.5, 0.5)])
+        upgrader = JoinUpgrader(
+            tree, tree, paper_cost_model(2), lbc_mode=lbc_mode,
+            vector_jl_from=1,
+        )
+        e_t = node_entry([(1.5, 1.5), (2.0, 2.0)])
+        base = leaf_entry((0.5, 0.5))
+        # Child 0 removes ``base``; ``base`` dominates child 1.  Child 2
+        # is dominated by ``base`` and removes nothing, child 3 by no one.
+        picked = node_entry([(0.2, 0.2), (0.7, 0.7), (0.6, 0.9), (0.1, 1.2)])
+        jl = [base, picked]
+        pairs = upgrader._pair_bounds(e_t, jl)
+        runs = _refine_both_ways(upgrader, e_t, jl, pairs, picked)
+        _assert_same_refinement(runs)
+        new_jl, _, stats = runs[0]
+        assert [e.point for e in new_jl] == [(0.2, 0.2), (0.1, 1.2)]
+        # ``base`` is live only at child 0: 2 base tests there, then the
+        # sibling checks 0 + 2 + 2 + 2.
+        assert stats.dominance_tests == 2 + 6
+        assert stats.entries_pruned == 1 + 2  # base, children 1 and 2
+
+    @pytest.mark.parametrize("lbc_mode", ["corrected", "paper"])
+    def test_later_child_removes_an_earlier_childs_dominator(self, lbc_mode):
+        tree = RTree.bulk_load([(0.5, 0.5)])
+        upgrader = JoinUpgrader(
+            tree, tree, paper_cost_model(2), lbc_mode=lbc_mode,
+            vector_jl_from=1,
+        )
+        e_t = node_entry([(1.5, 1.5), (2.0, 2.0)])
+        keep = leaf_entry((0.05, 1.5))
+        base = leaf_entry((0.5, 0.5))
+        picked = node_entry([(0.7, 0.7), (0.2, 0.2)])
+        jl = [keep, base, picked]
+        pairs = upgrader._pair_bounds(e_t, jl)
+        runs = _refine_both_ways(upgrader, e_t, jl, pairs, picked)
+        _assert_same_refinement(runs)
+        new_jl, _, stats = runs[0]
+        assert [e.point for e in new_jl] == [(0.05, 1.5), (0.2, 0.2)]
+        # Both base entries are live at both children: child 1 removes
+        # ``base`` only after its own check.
+        assert stats.dominance_tests == 4 + 4
+        assert stats.entries_pruned == 2  # child 0 flagged, base removed
+
+    @pytest.mark.parametrize("lbc_mode", ["corrected", "paper"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_refinement_walks_agree(self, lbc_mode, seed):
+        rng = np.random.default_rng(seed)
+        dims = 2 + seed % 3
+        # Quarter-grid coordinates: coordinate ties and duplicate points.
+        competitors = rng.integers(0, 5, size=(300, dims)) / 4.0
+        products = 1.0 + rng.integers(0, 5, size=(60, dims)) / 4.0
+        tree_p = RTree.bulk_load(competitors, max_entries=4)
+        tree_t = RTree.bulk_load(products, max_entries=4)
+        upgrader = JoinUpgrader(
+            tree_p, tree_t, paper_cost_model(dims), lbc_mode=lbc_mode,
+            vector_jl_from=1,
+        )
+        targets = [tree_t.root_entry()] + list(tree_t.root.entries)
+        steps = 0
+        for e_t in targets:
+            jl = [tree_p.root_entry()]
+            with use_kernels(False):
+                pairs = upgrader._pair_bounds(e_t, jl)
+            while steps < 200:
+                expandable = [e for e in jl if not e.is_leaf_entry]
+                if not expandable:
+                    break
+                picked = expandable[int(rng.integers(len(expandable)))]
+                runs = _refine_both_ways(upgrader, e_t, jl, pairs, picked)
+                _assert_same_refinement(runs)
+                jl, pairs, _ = runs[0]
+                steps += 1
+        assert steps > 20

@@ -137,6 +137,43 @@ def test_pairwise_dominance_matrix():
             )
 
 
+@pytest.mark.parametrize("dims", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("m", [0, 1, 17])
+def test_dominance_masks_block_queries_match_pairwise(dims, seed, m):
+    """The ``(m, d)`` query form is the ``(m, n)`` matrix, row by row."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 4, size=(40, dims)) / 4.0  # quarter-grid ties
+    pts[5:10] = pts[0]  # duplicate rows
+    queries = rng.integers(0, 4, size=(m, dims)) / 4.0
+    if m > 1:
+        queries[1] = pts[0]  # a query equal to a block row
+    dominating = dominating_mask(pts, queries)
+    dominated = dominated_mask(pts, queries)
+    assert dominating.shape == dominated.shape == (m, len(pts))
+    np.testing.assert_array_equal(
+        dominating, pairwise_dominance(pts, queries).T
+    )
+    np.testing.assert_array_equal(
+        dominated, pairwise_dominance(queries, pts)
+    )
+    for i, q in enumerate(queries):
+        q = tuple(q)
+        np.testing.assert_array_equal(dominating[i], dominating_mask(pts, q))
+        np.testing.assert_array_equal(dominated[i], dominated_mask(pts, q))
+        for j, row in enumerate(pts):
+            assert dominating[i, j] == _scalar_dominates(tuple(row), q)
+            assert dominated[i, j] == _scalar_dominates(q, tuple(row))
+
+
+@pytest.mark.parametrize("dims", [2, 5])
+def test_dominance_masks_block_queries_on_empty_block(dims):
+    empty = np.empty((0, dims))
+    queries = np.full((3, dims), 0.5)
+    assert dominating_mask(empty, queries).shape == (3, 0)
+    assert dominated_mask(empty, queries).shape == (3, 0)
+
+
 def test_equal_points_never_dominate():
     pts = np.array([[1.0, 2.0], [1.0, 2.0]])
     assert not dominating_mask(pts, (1.0, 2.0)).any()

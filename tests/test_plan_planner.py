@@ -24,6 +24,7 @@ from repro.plan import (
     profile_catalog,
 )
 from repro.plan.planner import _CANDIDATE_ORDER, attach_actual
+from repro.rtree.stats import collect_stats
 from repro.rtree.tree import RTree
 
 
@@ -85,6 +86,71 @@ class TestProfileAndEnumeration:
         planner = Planner()
         planned = planner.plan(LogicalPlan(k=5, profile=make_profile(P, T)))
         assert planned.plan.method != "basic-probing"
+
+
+def _shape_from_collect_stats(tree):
+    """(nodes, height, leaf fanout) as the full per-entry walk reports it."""
+    stats = collect_stats(tree)
+    return stats.node_count, stats.height, stats.leaf_fill
+
+
+class TestCatalogShape:
+    """The planner's node-only shape walk equals the full statistics."""
+
+    def _assert_profile_matches(self, tree_p, tree_t, dims):
+        profile = profile_catalog(tree_p, len(tree_t), dims, tree_t)
+        if tree_p.is_empty():
+            expected_p = (1, 1, 0.0)
+        else:
+            expected_p = _shape_from_collect_stats(tree_p)
+        assert (
+            profile.competitor_nodes,
+            profile.competitor_height,
+            profile.competitor_fanout,
+        ) == expected_p
+        if not tree_t.is_empty():
+            nodes, height, _ = _shape_from_collect_stats(tree_t)
+            assert (profile.product_nodes, profile.product_height) == (
+                nodes,
+                height,
+            )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_bulk_loaded_trees(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = 2 + seed % 3
+        fanout = int(rng.integers(4, 33))
+        tree_p = RTree.bulk_load(
+            rng.random((int(rng.integers(50, 900)), dims)), max_entries=fanout
+        )
+        tree_t = RTree.bulk_load(
+            1.0 + rng.random((int(rng.integers(1, 300)), dims)),
+            max_entries=fanout,
+        )
+        self._assert_profile_matches(tree_p, tree_t, dims)
+
+    def test_empty_competitor_tree(self):
+        tree_t = RTree.bulk_load([(1.5, 1.5), (1.2, 1.8)])
+        self._assert_profile_matches(RTree(2), tree_t, 2)
+
+    def test_single_leaf(self):
+        tree_p = RTree.bulk_load([(0.1, 0.2), (0.3, 0.1), (0.2, 0.2)])
+        assert tree_p.height == 1
+        self._assert_profile_matches(tree_p, tree_p, 2)
+
+    def test_after_splits_and_condensing_deletes(self):
+        rng = np.random.default_rng(5)
+        points = [tuple(p) for p in rng.random((400, 3))]
+        tree = RTree(3, max_entries=6)
+        for i, p in enumerate(points):
+            tree.insert(p, i)
+        grown_height = tree.height
+        for i in range(0, 390):
+            assert tree.delete(points[i], i)
+            if i % 97 == 0:
+                self._assert_profile_matches(tree, tree, 3)
+        assert tree.height < grown_height  # the deletes condensed levels
+        self._assert_profile_matches(tree, tree, 3)
 
 
 class TestPlanIndependentAnswers:
