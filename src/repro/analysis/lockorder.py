@@ -289,10 +289,10 @@ def instrument_engine(engine, witness: LockOrderWitness) -> None:
 
     Covers every lock the serving stack can hold concurrently: the
     readers-writer lock, both cache locks, the metrics lock, the pool's
-    condition, the guard locks, and the engine's counter locks.  Safe on
-    a live engine — proxies delegate to the original primitives (see the
-    module docstring), and every member re-reads its lock attribute per
-    operation rather than capturing it.
+    condition, the guard locks, the engine's counter locks, and the
+    session's skyline lock.  Safe on a live engine — proxies delegate to
+    the original primitives (see the module docstring), and every member
+    re-reads its lock attribute per operation rather than capturing it.
     """
     engine._rw = witness.wrap_rwlock(engine._rw, "engine._rw")
     engine._extern_lock = witness.wrap_lock(
@@ -315,6 +315,9 @@ def instrument_engine(engine, witness: LockOrderWitness) -> None:
     )
     engine.index_guard._lock = witness.wrap_lock(
         engine.index_guard._lock, "index_guard._lock"
+    )
+    engine.session._skyline_lock = witness.wrap_lock(
+        engine.session._skyline_lock, "session._skyline_lock"
     )
     if engine._pool is not None:
         engine._pool._cond = witness.wrap_condition(

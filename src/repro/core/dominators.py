@@ -12,6 +12,14 @@ describes.
 :func:`get_dominating_skyline_multi` generalizes the traversal to a list of
 subtree roots — the join algorithm computes a leaf product's exact cost from
 its join-list entries this way.
+
+**Downward closure.**  The dominators ``D_t`` of ``t`` satisfy
+``sky(D_t) = D_t ∩ sky(P)``.  Proof: if ``q ≺ p`` and ``p ≺ t`` then
+``q ≺ t``, so a point of ``D_t`` is dominated within ``D_t`` iff it is
+dominated within ``P``.  The serving session uses this to answer kernel-path
+product queries by filtering a maintained ``sky(P)``
+(:meth:`repro.core.session.MarketSession.dominator_skyline`); this traversal
+stays the scalar oracle its kernel guard reruns, and the paper's Algorithm 3.
 """
 
 from __future__ import annotations

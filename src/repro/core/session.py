@@ -12,10 +12,16 @@ Updates use the dynamic R-tree paths (Guttman insert / delete-condense);
 queries run the join algorithm with valid bounds, so every answer agrees
 with a from-scratch recomputation — which the test suite asserts after
 randomized update interleavings.
+
+On the kernel path, per-product dominator skylines come from the
+competitor skyline the session maintains
+(:mod:`repro.skyline.maintained`): built by the first such query, then
+updated by each competitor mutation.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -34,8 +40,12 @@ from repro.costs.model import CostModel, paper_cost_model
 from repro.exceptions import ConfigurationError
 from repro.geometry.point import validate_point
 from repro.instrumentation import Counters
+from repro.kernels.switch import kernels_enabled
+from repro.obs import span
+from repro.reliability.faults import maybe_inject
 from repro.rtree.query import intersects_dominance_region
 from repro.rtree.tree import RTree
+from repro.skyline.maintained import SkylineSnapshot
 
 Point = Tuple[float, ...]
 
@@ -109,6 +119,14 @@ class MarketSession:
         self.competitor_epoch = 0
         self.product_epoch = 0
         self._listeners: List[MutationListener] = []
+        # sky(P), built lazily by the first kernel-path dominator query
+        # (a BBS over 20k competitors takes ~0.5 s, which set-up must not
+        # pay); None until then.  Readers load the reference without the
+        # lock: a snapshot is immutable and replaced in one swap.
+        self._skyline: Optional[SkylineSnapshot] = (
+            None
+        )  # guarded-by: _skyline_lock
+        self._skyline_lock = threading.Lock()
 
     @classmethod
     def from_points(
@@ -190,6 +208,9 @@ class MarketSession:
         self._next_competitor_id += 1
         self._competitors.insert(p, cid)
         self._competitor_points[cid] = p
+        with self._skyline_lock:
+            if self._skyline is not None:
+                self._skyline = self._skyline.with_point(p)
         self.competitor_epoch += 1
         self._notify(MutationEvent("competitor", "add", p, cid))
         return cid
@@ -201,6 +222,20 @@ class MarketSession:
             return False
         removed = self._competitors.delete(point, competitor_id)
         if removed:
+            with self._skyline_lock:
+                if self._skyline is not None:
+                    # The regrow's traversal runs on the kernel switch;
+                    # scalar, it would test every candidate against the
+                    # whole skyline in Python.  With kernels off the
+                    # snapshot is unused: drop it, and let the next
+                    # kernel-path query rebuild it.
+                    self._skyline = (
+                        self._skyline.without_point(
+                            point, self._competitors
+                        )
+                        if kernels_enabled()
+                        else None
+                    )
             self.competitor_epoch += 1
             self._notify(
                 MutationEvent("competitor", "remove", point, competitor_id)
@@ -281,11 +316,46 @@ class MarketSession:
     def dominator_skyline(
         self, point: Sequence[float], stats: Optional[Counters] = None
     ) -> List[Point]:
-        """Skyline of ``point``'s dominators in the current competitor set."""
+        """Skyline of ``point``'s dominators in the current competitor set.
+
+        Returned in ascending ``(coordinate sum, point)`` order, one copy
+        per distinct point.  The dominators ``D_t`` of ``t`` are downward
+        closed (``q ≺ p ≺ t`` gives ``q ≺ t``), so a point of ``D_t`` is
+        dominated within ``D_t`` iff it is dominated within the whole
+        competitor set ``P``: ``sky(D_t) = D_t ∩ sky(P)``.  With kernels
+        on, the answer is therefore the rows of the maintained ``sky(P)``
+        that dominate ``point`` — one broadcast.  With kernels off it is
+        Algorithm 3's traversal, which stays the kernel guard's scalar
+        oracle (the guard reruns products with kernels off).
+        """
         p = validate_point(point, self.dims)
         if self._competitors.is_empty():
             return []
-        return get_dominating_skyline(self._competitors, p, stats)
+        if not kernels_enabled():
+            return get_dominating_skyline(self._competitors, p, stats)
+        maybe_inject("rtree.query")
+        with span(
+            "dominators.skyline", kernel_or_scalar="kernel", maintained=True
+        ) as sp:
+            result = self._competitor_skyline().dominators(p, stats)
+            sp.set(skyline_size=len(result))
+            return result
+
+    def _competitor_skyline(self) -> SkylineSnapshot:
+        """The maintained ``sky(P)``, built on first use.
+
+        Pool threads call this concurrently under the engine's read lock;
+        the double check builds it once.
+        """
+        # skyup: ignore[SKY101] — one reference load of an immutable snapshot
+        snapshot = self._skyline
+        if snapshot is None:
+            with self._skyline_lock:
+                snapshot = self._skyline
+                if snapshot is None:
+                    snapshot = SkylineSnapshot.build(self._competitors)
+                    self._skyline = snapshot
+        return snapshot
 
     def any_product_in_dominance_region(
         self, point: Sequence[float]

@@ -50,9 +50,14 @@ class SkylineBuffer:
 
     __slots__ = ("points", "_block")
 
-    def __init__(self, dims: int):
-        self.points: List[Point] = []
-        self._block = PointBlock(dims)
+    def __init__(self, dims: int, points: Sequence[Point] = ()):
+        """An empty buffer, or one seeded with an (undominated) antichain."""
+        self.points: List[Point] = list(points)
+        self._block = (
+            PointBlock.from_points(self.points)
+            if self.points
+            else PointBlock(dims)
+        )
 
     def __len__(self) -> int:
         return len(self.points)

@@ -13,14 +13,18 @@ candidate when kernels are enabled, the exact scalar loop otherwise.
 
 This module is the foundation of the paper's Algorithm 3
 (:mod:`repro.core.dominators` restricts the same traversal to an
-anti-dominant region).
+anti-dominant region).  :func:`bbs_regrow` restricts it the other way, to
+a dominance region ``{q >= floor}``: after a skyline point leaves the
+market, only points in its dominance region can join the skyline, so the
+serving session regrows that region instead of recomputing the whole
+skyline (:mod:`repro.skyline.maintained`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.instrumentation import Counters
 from repro.kernels.skybuffer import SkylineBuffer
@@ -62,9 +66,54 @@ def bbs_skyline(
         return result
 
 
-def _bbs(tree: RTree, stats: Optional[Counters]) -> List[Point]:
-    skyline = SkylineBuffer(tree.dims)
-    accepted = set()
+def bbs_regrow(
+    tree: RTree,
+    floor: Sequence[float],
+    pruners: Sequence[Point],
+    stats: Optional[Counters] = None,
+) -> List[Point]:
+    """Skyline points of ``tree`` inside the region ``{q >= floor}``.
+
+    The same traversal as :func:`bbs_skyline`, restricted to entries
+    whose upper corner is weakly above ``floor`` (on every dimension),
+    with each entry's corner clamped up to ``floor`` — the lower corner
+    of the entry's part of the region, so mindist and the corner prune
+    stay exact for the points the region holds.  ``pruners`` seed the
+    skyline buffer: a region point dominated by one of them is not
+    returned, and neither is a copy of one of them.
+
+    Returns:
+        The new skyline points (``pruners`` excluded) in ascending
+        ``(coordinate sum, point)`` order.
+    """
+    if tree.is_empty():
+        return []
+    low = tuple(float(v) for v in floor)
+    with span(
+        "skyline.bbs",
+        kernel_or_scalar="kernel" if kernels_enabled() else "scalar",
+        regrow=True,
+    ) as sp:
+        result = _bbs(tree, stats, low, pruners)
+        sp.set(skyline_size=len(result))
+        return result
+
+
+def _weakly_above(corner: Point, floor: Point) -> bool:
+    for c, f in zip(corner, floor):
+        if c < f:
+            return False
+    return True
+
+
+def _bbs(
+    tree: RTree,
+    stats: Optional[Counters],
+    floor: Optional[Point] = None,
+    pruners: Sequence[Point] = (),
+) -> List[Point]:
+    skyline = SkylineBuffer(tree.dims, pruners)
+    accepted = set(pruners)
     counter = itertools.count()
     heap: List[tuple] = []
     root = tree.root
@@ -72,7 +121,12 @@ def _bbs(tree: RTree, stats: Optional[Counters]) -> List[Point]:
     # keeps dominators ahead of dominated candidates even when coordinate
     # sums collide in floating point (a dominator is always
     # lexicographically smaller, exactly).
-    root_low = root.compute_mbr().low
+    root_mbr = root.compute_mbr()
+    root_low = root_mbr.low
+    if floor is not None:
+        if not _weakly_above(root_mbr.high, floor):
+            return []
+        root_low = tuple(map(max, root_low, floor))
     heapq.heappush(heap, (0.0, root_low, next(counter), root))
     if stats is not None:
         stats.heap_pushes += 1
@@ -95,6 +149,8 @@ def _bbs(tree: RTree, stats: Optional[Counters]) -> List[Point]:
             stats.node_accesses += 1
         if node.is_leaf:
             for e in node.entries:
+                if floor is not None and not _weakly_above(e.point, floor):
+                    continue
                 if not skyline.dominates_point(e.point, stats):
                     heapq.heappush(
                         heap, (sum(e.point), e.point, next(counter), None)
@@ -104,6 +160,10 @@ def _bbs(tree: RTree, stats: Optional[Counters]) -> List[Point]:
         else:
             for e in node.entries:
                 low = e.mbr.low
+                if floor is not None:
+                    if not _weakly_above(e.mbr.high, floor):
+                        continue
+                    low = tuple(map(max, low, floor))
                 if not skyline.dominates_point(low, stats):
                     heapq.heappush(
                         heap, (sum(low), low, next(counter), e.child)
@@ -112,6 +172,7 @@ def _bbs(tree: RTree, stats: Optional[Counters]) -> List[Point]:
                         stats.heap_pushes += 1
                 elif stats is not None:
                     stats.entries_pruned += 1
+    found = skyline.points[len(pruners):]
     if stats is not None:
-        stats.skyline_points += len(skyline)
-    return skyline.points
+        stats.skyline_points += len(found)
+    return found

@@ -54,7 +54,9 @@ class TestCorrectness:
     def test_product_query_matches_direct_computation(self, session, engine):
         for pid in (0, 5, 17):
             point = session.product_point(pid)
-            skyline = session.dominator_skyline(point)
+            skyline = get_dominating_skyline(
+                session.competitor_index, point
+            )
             cost, upgraded = upgrade(
                 skyline, point, session.cost_model, session.config
             )
@@ -273,9 +275,7 @@ class TestMetrics:
         serial = Counters()
         for pid in pids:
             point = session.product_point(pid)
-            skyline = get_dominating_skyline(
-                session._competitors, point, serial
-            )
+            skyline = session.dominator_skyline(point, serial)
             upgrade(
                 skyline, point, session.cost_model, session.config, serial
             )

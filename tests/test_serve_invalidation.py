@@ -12,6 +12,7 @@ in that path).
 import numpy as np
 import pytest
 
+from repro.core.dominators import get_dominating_skyline
 from repro.core.session import MarketSession
 from repro.core.upgrade import upgrade
 from repro.serve import (
@@ -60,7 +61,9 @@ def run_interleaving(seed, steps=120, n_p=60, n_t=22, dims=2):
                 # Commit a real upgrade for a random product.
                 pid = live_products[int(rng.integers(len(live_products)))]
                 point = session.product_point(pid)
-                skyline = session.dominator_skyline(point)
+                skyline = get_dominating_skyline(
+                    session.competitor_index, point
+                )
                 cost, upgraded = upgrade(
                     skyline, point, session.cost_model, session.config
                 )
@@ -87,7 +90,7 @@ def run_interleaving(seed, steps=120, n_p=60, n_t=22, dims=2):
                 response = engine.query(ProductQuery(pid))
                 point = session.product_point(pid)
                 cold_cost, cold_upgraded = upgrade(
-                    session.dominator_skyline(point),
+                    get_dominating_skyline(session.competitor_index, point),
                     point,
                     session.cost_model,
                     session.config,
