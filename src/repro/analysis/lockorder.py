@@ -290,7 +290,8 @@ def instrument_engine(engine, witness: LockOrderWitness) -> None:
     Covers every lock the serving stack can hold concurrently: the
     readers-writer lock, both cache locks, the metrics lock, the pool's
     condition, the guard locks, the engine's counter locks, and the
-    session's skyline lock.  Safe on a live engine — proxies delegate to
+    session's skyline lock; on the sharded tier also every shard
+    handle's lock and the breaker, hedge, and resilience-stats locks.  Safe on a live engine — proxies delegate to
     the original primitives (see the module docstring), and every member
     re-reads its lock attribute per operation rather than capturing it.
     """
@@ -322,4 +323,21 @@ def instrument_engine(engine, witness: LockOrderWitness) -> None:
     if engine._pool is not None:
         engine._pool._cond = witness.wrap_condition(
             engine._pool._cond, "pool._cond"
+        )
+    executor = engine._executor
+    if executor.sharded:
+        for handle in executor._handles:
+            handle._lock = witness.wrap_lock(
+                handle._lock, "ShardProcess._lock"
+            )
+        resilience = executor._resilience
+        for breaker in resilience.breakers.values():
+            breaker._lock = witness.wrap_lock(
+                breaker._lock, "CircuitBreaker._lock"
+            )
+        resilience.hedge._lock = witness.wrap_lock(
+            resilience.hedge._lock, "HedgePolicy._lock"
+        )
+        resilience._stats_lock = witness.wrap_lock(
+            resilience._stats_lock, "ShardResilience._stats_lock"
         )

@@ -39,7 +39,6 @@ from repro.reliability.faults import (
 from repro.reliability.guards import KernelGuard
 from repro.serve.config import EngineConfig
 from repro.serve.engine import ProductQuery, Query, TopKQuery, UpgradeEngine
-from repro.shard import ShardedUpgradeEngine
 
 _BATCH = 32
 
@@ -117,13 +116,10 @@ def _replay(
         breaker_threshold=breaker_threshold,
         kernel_guard=KernelGuard(sample_rate=0.0),
     )
-    if processes > 0:
-        # Fault injectors are process-local: only coordinator-side
-        # points (the caches) can fire here — the shard workers run in
-        # their own processes and never see the armed plan.
-        engine = ShardedUpgradeEngine(session, config)
-    else:
-        engine = UpgradeEngine(session, config)
+    # Fault injectors are process-local: with processes > 0 only
+    # coordinator-side points (the caches) can fire — the shard workers
+    # run in their own processes and never see the armed plan.
+    engine = UpgradeEngine(session, config)
     injector: Optional[FaultInjector] = None
     try:
         start = time.perf_counter()
@@ -243,7 +239,7 @@ def run_serve_bench(
     physical plans under ``report[mode]["planner"]``).
 
     ``processes > 0`` replays the same request sequence a third time
-    through the cached :class:`~repro.shard.ShardedUpgradeEngine` at
+    through the cached sharded :class:`UpgradeEngine` at
     that process count (``shards`` defaults to one per process); the
     ``report["sharded"]`` run then carries topology and per-process
     health — owned shards, queue depth, crash/respawn counts — under

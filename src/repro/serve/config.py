@@ -7,10 +7,6 @@ variants (the benchmark harness builds its cold/warm configs that way).
 Validation happens at construction — a bad value fails fast with a
 :class:`~repro.exceptions.ConfigurationError` instead of surfacing as a
 confusing runtime failure deep inside the pool or tracer.
-
-The legacy keyword style (``UpgradeEngine(session, workers=4, ...)``)
-still works for one release: the engine folds the kwargs into an
-:class:`EngineConfig` and emits a single :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -64,9 +60,13 @@ class EngineConfig:
             (``engine.recent_traces()``).
         trace_seed: PRNG seed for the sampling draws.
         trace_max_spans: per-trace span cap (runaway-loop backstop).
-        processes: shard worker *processes* for the
-            :class:`~repro.shard.engine.ShardedUpgradeEngine` (0 = not
-            sharded; ignored by the thread-tier ``UpgradeEngine``).
+        processes: picks the engine's executor.  0 (default) executes
+            in-process (:class:`~repro.serve.engine.LocalExecutor`);
+            N > 0 partitions the competitor catalog over N shard worker
+            processes (:class:`~repro.shard.engine.ShardExecutor`).
+            Every other option means the same on both tiers; the
+            ``hedge_delay_s`` … ``shard_rpc_timeout_s`` options only
+            apply when N > 0.
         shards: competitor-catalog partitions (0 = one per process).
             May exceed ``processes`` — a process then hosts several
             shards and pre-merges their answers locally.
@@ -217,7 +217,7 @@ class EngineConfig:
 
     @classmethod
     def field_names(cls) -> tuple:
-        """The configurable field names (the legacy-kwarg surface)."""
+        """The configurable field names."""
         return tuple(f.name for f in fields(cls))
 
     def describe(self) -> Dict[str, object]:

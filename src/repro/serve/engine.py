@@ -1,54 +1,61 @@
-"""The concurrent upgrade-query engine.
+"""The upgrade-query engine: one front end over two executors.
 
-:class:`UpgradeEngine` wraps a :class:`~repro.core.session.MarketSession`
-for production-style serving:
+:class:`UpgradeEngine` serves top-k and single-product upgrade queries
+against a live :class:`~repro.core.session.MarketSession`.  The front
+end owns everything about *serving*, whatever executes the queries:
 
 * **Epoch-versioned caching** — dominator skylines and the whole-catalog
   top-k prefix are cached and invalidated *precisely* on catalog mutations
   (region overlap against the mutated point, not wholesale; see
-  :mod:`repro.serve.cache`).
+  :mod:`repro.serve.cache`).  Cache faults degrade to recomputes.
 * **Batch execution** — concurrent top-k requests drained from the queue
-  together are served by *one* progressive join run to the largest
-  requested ``k``; each request receives its prefix.  This amortizes the
-  R-tree traversal exactly the way the join algorithm amortizes it over
-  products, instead of issuing N independent probes.
+  together are served by *one* progressive run to the largest requested
+  ``k``; each request receives its prefix.
 * **Bounded concurrency** — a thread worker pool with an admission-bounded
   queue (:mod:`repro.serve.pool` documents the GIL tradeoff), a
   readers-writer lock so queries run concurrently while mutations are
   exclusive, and per-request deadlines with graceful degradation: on
   deadline the progressive prefix emitted so far is returned with
   ``partial=True`` instead of an error.
-* **Metrics** — per-worker :class:`~repro.instrumentation.Counters`
-  merged on demand, cache hit rates, queue depth, and rolling latency
-  percentiles via :meth:`UpgradeEngine.metrics`.
 * **Reliability** (:mod:`repro.reliability`) — worker supervision (a
-  crashing batch execution is contained, counted, and failed with a typed
-  :class:`~repro.exceptions.WorkerCrashError`; the worker survives),
-  retries of :class:`~repro.exceptions.TransientError` failures under a
-  capped-backoff :class:`~repro.reliability.retry.RetryPolicy`, cache
-  faults degrading to recomputes, a sampling kernel-vs-scalar result
-  guard that quarantines diverging kernels, and a budgeted R-tree
-  invariant check after catalog mutations.
-* **Tracing** (:mod:`repro.obs`) — a sampled request produces a
-  structured trace of nested spans covering every phase it passes
-  through (admission, queue wait, cache lookups, the join's heap work,
-  R-tree traversals, guard recomputes).  The trace is created at
-  admission, rides on the :class:`PendingQuery` across the queue, and is
-  re-activated on the worker thread; kept traces land in
-  :meth:`UpgradeEngine.recent_traces` and the ``skyup trace`` CLI.
+  crashing batch is contained and failed with a typed
+  :class:`~repro.exceptions.WorkerCrashError`), retries of
+  :class:`~repro.exceptions.TransientError` failures under a
+  capped-backoff :class:`~repro.reliability.retry.RetryPolicy`, a
+  sampling kernel-vs-scalar result guard that quarantines diverging
+  kernels, and a budgeted R-tree invariant check after mutations.
+* **Tracing and metrics** — sampled structured traces
+  (:mod:`repro.obs`) and one :meth:`UpgradeEngine.metrics` schema.
 
-Configuration is consolidated in the frozen
-:class:`~repro.serve.config.EngineConfig` dataclass; the legacy keyword
-style (``UpgradeEngine(session, workers=4)``) still works for one
-release and emits a single :class:`DeprecationWarning`.
+Behind the front end sits an *executor*, picked by
+``EngineConfig.processes``:
 
-Deadlines are *cooperative*: they are checked between progressive results,
-so a response can overshoot by at most one result-to-result step of the
-join.  Retry backoff sleeps on the worker thread (inside the read lock),
-which is why :class:`~repro.reliability.retry.RetryPolicy` keeps delays in
-the low milliseconds.  Catalog mutations must go through the engine's
-mutator methods (or otherwise be externally synchronized) — the underlying
-session is not itself thread-safe.
+* :class:`LocalExecutor` (``processes == 0``) — the session's indexes,
+  the cost-based planner, and the progressive join / improved probing,
+  all in this process.
+* :class:`~repro.shard.engine.ShardExecutor` (``processes > 0``) —
+  competitor shards in worker processes, scatter-gather with a
+  threshold merge, hedging and breakers (:mod:`repro.shard`).
+
+The seam is small.  An executor reports its cache :meth:`epoch`, keeps
+itself in sync on :meth:`on_mutation`, answers
+:meth:`dominator_skyline` for one product with the fraction of the
+market it covered, and opens a top-k *run*: an object exposing
+``results`` (an exact prefix of the canonical ``(cost, record_id)``
+order), ``done``, ``exhausted``, ``coverage``, ``exact`` and
+``advance(want, active)``.  The front end drives every run through the
+same deadline sweep, so retries, guards and degradation labels mean the
+same thing on both tiers.  The kernel guard compares only ``exact``
+answers (full coverage, not degraded): a shard that is down is not a
+kernel divergence.
+
+Deadlines are *cooperative*: they are checked between progressive
+results, so a response can overshoot by at most one step of the run.
+Retry backoff sleeps on the worker thread (inside the read lock), which
+is why :class:`~repro.reliability.retry.RetryPolicy` keeps delays in the
+low milliseconds.  Catalog mutations must go through the engine's
+mutator methods (or otherwise be externally synchronized) — the
+underlying session is not itself thread-safe.
 
 Example::
 
@@ -67,7 +74,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -96,7 +102,7 @@ from repro.serve.config import EngineConfig
 from repro.serve.metrics import EngineMetrics
 from repro.serve.pool import ReadWriteLock, WorkerPool
 
-Epoch = Tuple[int, int]
+Epoch = Tuple[int, ...]
 Point = Tuple[float, ...]
 
 
@@ -236,8 +242,200 @@ class PendingQuery:
         self._event.set()
 
 
+
+
+def _probing_topk(
+    session: MarketSession, k: int, stats: Counters
+) -> Tuple[List[UpgradeResult], bool, float]:
+    """One improved-probing run mapped back to catalog product ids.
+
+    Returns ``(results, exhausted, elapsed_s)``.  Work is charged to
+    ``stats`` — the request counters on the serving path, the guard
+    counters on oracle recomputes.
+    """
+    ids, points = session.products_by_id()
+    if not points:
+        return [], True, 0.0
+    outcome = improved_probing(
+        session.competitor_index,
+        points,
+        session.cost_model,
+        k,
+        session.config,
+    )
+    stats.merge(outcome.report.counters)
+    results = [
+        replace(r, record_id=ids[r.record_id]) for r in outcome.results
+    ]
+    return results, len(results) < k, outcome.report.elapsed_s
+
+
+class LocalExecutor:
+    """In-process execution: the session's indexes and the planner.
+
+    Top-k runs follow the planner's choice per catalog epoch: the
+    progressive join (one result per :meth:`_LocalTopK.advance`) or one
+    improved-probing run (not progressive: a single advance yields the
+    whole answer).
+    """
+
+    sharded = False
+
+    def __init__(self, session: MarketSession, config: EngineConfig):
+        self.session = session
+        self.config = config
+        # Each engine owns its planner: calibration feedback from this
+        # catalog should not leak into unrelated processes' plans.
+        self.planner = Planner()
+        self._plan_lock = threading.Lock()
+        self._plan_cache: Optional[Tuple[Epoch, int, PlannedQuery]] = None
+
+    def epoch(self) -> Epoch:
+        return self.session.epoch
+
+    def on_mutation(self, event: MutationEvent) -> None:
+        with self._plan_lock:
+            # The chosen plan is keyed on the epoch anyway, but dropping
+            # it eagerly keeps the cache from pinning a dead PlannedQuery.
+            self._plan_cache = None
+
+    def dominator_skyline(
+        self, point: Point, stats: Counters, deadline: Optional[float]
+    ) -> Tuple[List[Point], float]:
+        return self.session.dominator_skyline(point, stats), 1.0
+
+    def topk(self, k_max: int, stats: Counters, epoch: Epoch) -> "_LocalTopK":
+        return _LocalTopK(self, self._current_plan(epoch), stats)
+
+    def _current_plan(self, epoch: Epoch) -> Optional[PlannedQuery]:
+        """The planner's choice for this catalog epoch (None = fixed join).
+
+        Cached per ``(epoch, planner version)``: mutations move the epoch
+        and calibration feedback (repeated misestimates, unit-cost
+        refits) bumps the version, so either forces a re-plan.  With
+        ``config.method="join"`` planning is skipped entirely — the
+        fixed join path.
+        """
+        if self.config.method == "join":
+            return None
+        with self._plan_lock:
+            cached = self._plan_cache
+            if (
+                cached is not None
+                and cached[0] == epoch
+                and cached[1] == self.planner.version
+            ):
+                return cached[2]
+        session = self.session
+        with span("engine.plan", method=self.config.method):
+            profile = profile_catalog(
+                session.competitor_index,
+                session.product_count,
+                session.dims,
+                product_tree=session.product_index,
+            )
+            logical = LogicalPlan(k=1, profile=profile)
+            force = None
+            if self.config.method == "probing":
+                force = PhysicalPlan(
+                    method="probing",
+                    vector_jl_from=self.planner.vector_jl_from,
+                )
+            planned = self.planner.plan(logical, force=force)
+        with self._plan_lock:
+            self._plan_cache = (epoch, planned.version, planned)
+        return planned
+
+    def describe(self) -> Dict[str, object]:
+        return {
+            "planner": (
+                self.planner.stats()
+                if self.config.method != "join"
+                else None
+            ),
+            "shards": None,
+            "shard_health": None,
+            "worker_crashes": None,
+            "worker_respawns": None,
+        }
+
+    def close(self, timeout: float) -> None:
+        pass
+
+
+class _LocalTopK:
+    """One in-process top-k run (see :class:`LocalExecutor`)."""
+
+    coverage = 1.0
+    exact = True
+
+    def __init__(
+        self,
+        executor: LocalExecutor,
+        planned: Optional[PlannedQuery],
+        stats: Counters,
+    ):
+        self._executor = executor
+        self._planned = planned
+        self._stats = stats
+        self.method = planned.plan.method if planned is not None else "join"
+        self.results: List[UpgradeResult] = []
+        self.done = False
+        self.exhausted = False
+        self._watch = Stopwatch()
+        self._upgrader = None
+        self._gen = None
+        self._probing_s: Optional[float] = None
+
+    def advance(self, want: int, active: Sequence[PendingQuery]) -> bool:
+        """Pull the next result (probing: the whole top-``want``)."""
+        if self.method != "join":
+            self.results, self.exhausted, self._probing_s = _probing_topk(
+                self._executor.session, want, self._stats
+            )
+            self.done = True
+            return True
+        if self._gen is None:
+            session, planned = self._executor.session, self._planned
+            self._upgrader = (
+                session.make_upgrader()
+                if planned is None
+                else session.make_upgrader(
+                    bound=planned.plan.bound,
+                    vector_jl_from=planned.plan.vector_jl_from,
+                )
+            )
+            self._gen = self._upgrader.results()
+        try:
+            self.results.append(next(self._gen))
+        except StopIteration:
+            self.done = self.exhausted = True
+            return False
+        return True
+
+    def finish(self, guarded: bool) -> None:
+        """Charge the run's work and feed the planner its runtime."""
+        planned = self._planned
+        if self._upgrader is not None:
+            self._stats.merge(self._upgrader.stats)
+        if planned is None:
+            return
+        planner = self._executor.planner
+        if self._probing_s is not None:
+            planner.observe(planned, self._probing_s)
+        else:
+            planner.observe(
+                planned,
+                self._watch.split(),
+                None if guarded else self._upgrader.stats,
+            )
+
+    def close(self) -> None:
+        pass
+
+
 class UpgradeEngine:
-    """Serve top-k upgrade queries against a live market session.
+    """Serve upgrade queries against a live market session.
 
     Args:
         session: the owned market state.  The engine registers a mutation
@@ -245,35 +443,15 @@ class UpgradeEngine:
             so they synchronize with in-flight queries.
         config: every tunable, consolidated in one frozen
             :class:`~repro.serve.config.EngineConfig` (``None`` = all
-            defaults).
-        **legacy: the pre-:class:`EngineConfig` keyword style
-            (``workers=4, cache=False, ...``).  Deprecated — the kwargs
-            are folded into ``config`` (overriding its fields) and a
-            single :class:`DeprecationWarning` is emitted per
-            construction.
+            defaults).  ``config.processes`` picks the executor: 0 runs
+            in-process, N > 0 shards the competitor catalog over N worker
+            processes.
     """
 
     def __init__(
-        self,
-        session: MarketSession,
-        config: Optional[EngineConfig] = None,
-        **legacy: object,
+        self, session: MarketSession, config: Optional[EngineConfig] = None
     ):
-        if legacy:
-            unknown = set(legacy) - set(EngineConfig.field_names())
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown engine option(s): {sorted(unknown)}; "
-                    f"valid options are {list(EngineConfig.field_names())}"
-                )
-            warnings.warn(
-                "passing UpgradeEngine tunables as keyword arguments is "
-                "deprecated; pass config=EngineConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = replace(config or EngineConfig(), **legacy)
-        elif config is None:
+        if config is None:
             config = EngineConfig()
         self.config = config
         self.session = session
@@ -302,11 +480,6 @@ class UpgradeEngine:
         )
         self.trace_store = TraceStore(capacity=config.trace_store_capacity)
         self._metrics = EngineMetrics(window=config.metrics_window)
-        # Each engine owns its planner: calibration feedback from this
-        # catalog should not leak into unrelated processes' plans.
-        self.planner = Planner()
-        self._plan_lock = threading.Lock()
-        self._plan_cache: Optional[Tuple[Epoch, int, PlannedQuery]] = None
         self._rw = ReadWriteLock()
         self._extern_counters: Dict[int, Counters] = (
             {}
@@ -318,10 +491,16 @@ class UpgradeEngine:
         self._guard_stats = Counters()  # guarded-by: _guard_stats_lock
         self._guard_stats_lock = threading.Lock()
         self._closed = False
+        if config.processes > 0:
+            from repro.shard.engine import ShardExecutor
+
+            self._executor = ShardExecutor(self)
+        else:
+            self._executor = LocalExecutor(session, config)
         self._pool: Optional[WorkerPool] = None
         if config.workers > 0:
             self._pool = WorkerPool(
-                self._handle_batch,
+                self._execute_batch,
                 workers=config.workers,
                 queue_capacity=config.queue_capacity,
                 batch_max=config.batch_max,
@@ -332,18 +511,21 @@ class UpgradeEngine:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self, timeout: float = 5.0) -> int:
-        """Stop the pool and detach from the session (idempotent).
+        """Stop the pool and the executor, detach from the session.
 
-        Returns the number of workers that failed to join within
-        ``timeout`` (0 = clean shutdown; stragglers are named in
-        ``pool.stuck_workers``).
+        Idempotent; later queries raise
+        :class:`~repro.exceptions.EngineClosedError`.  Returns the number
+        of workers that failed to join within ``timeout`` (0 = clean
+        shutdown; stragglers are named in ``pool.stuck_workers``).
         """
+        if self._closed:
+            return 0
+        self._closed = True
         stuck = 0
         if self._pool is not None:
             stuck = self._pool.close(timeout=timeout)
-        if not self._closed:
-            self._closed = True
-            self.session.remove_mutation_listener(self._on_mutation)
+        self.session.remove_mutation_listener(self._on_mutation)
+        self._executor.close(timeout)
         return stuck
 
     def __enter__(self) -> "UpgradeEngine":
@@ -351,6 +533,13 @@ class UpgradeEngine:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    @property
+    def epoch_vector(self) -> Epoch:  # holds-lock: _rw[read]
+        """The cache epoch responses carry: the session's
+        ``(competitor, product)`` epoch in-process, the per-shard vector
+        ``(e_0, …, e_{S-1}, product_epoch)`` when sharded."""
+        return self._executor.epoch()
 
     # -- catalog mutation (exclusive) -----------------------------------------
 
@@ -406,8 +595,10 @@ class UpgradeEngine:
             self.index_guard.record_failure()
             raise
 
+    # holds-lock: _rw[write]
     def _on_mutation(self, event: MutationEvent) -> None:
-        """Precise invalidation — runs inside the mutation's write lock.
+        """Precise invalidation, then executor sync — inside the
+        mutation's write lock.
 
         Competitor mutations drop skyline entries whose ADR contains the
         mutated point, and the top-k prefix only when some product lies in
@@ -420,10 +611,6 @@ class UpgradeEngine:
         doubt, invalidating is always correct — keeping a stale prefix is
         not.
         """
-        with self._plan_lock:
-            # The chosen plan is keyed on the epoch anyway, but dropping
-            # it eagerly keeps the cache from pinning a dead PlannedQuery.
-            self._plan_cache = None
         if event.side == "competitor":
             self.skyline_cache.invalidate_point(event.point)
             try:
@@ -437,6 +624,7 @@ class UpgradeEngine:
                 self.topk_cache.invalidate()
         else:
             self.topk_cache.invalidate()
+        self._executor.on_mutation(event)
 
     # -- query submission ------------------------------------------------------
 
@@ -450,7 +638,7 @@ class UpgradeEngine:
     ) -> List[QueryResponse]:
         """Execute a batch synchronously; responses in request order.
 
-        Top-k requests in the batch share a single progressive join run.
+        Top-k requests in the batch share a single progressive run.
         With ``raise_errors`` (the default) the per-request exception
         (e.g. unknown product id) is raised exactly as
         :meth:`PendingQuery.result` would; with ``raise_errors=False``
@@ -495,6 +683,8 @@ class UpgradeEngine:
         return pendings
 
     def _admit(self, query: Query) -> PendingQuery:
+        if self._closed:
+            raise EngineClosedError("engine is closed")
         if isinstance(query, TopKQuery):
             if query.k < 1:
                 raise ConfigurationError(f"k must be >= 1, got {query.k}")
@@ -518,11 +708,6 @@ class UpgradeEngine:
         return pending
 
     # -- execution -------------------------------------------------------------
-
-    def _handle_batch(
-        self, batch: List[PendingQuery], counters: Counters
-    ) -> None:
-        self._execute_batch(batch, counters)
 
     def _fail_batch(
         self, pendings: Sequence[PendingQuery], exc: BaseException
@@ -573,7 +758,7 @@ class UpgradeEngine:
         try:
             maybe_inject("serve.handler")
             with self._rw.read_locked():
-                epoch = self.session.epoch
+                epoch = self._executor.epoch()
                 topk_group: List[PendingQuery] = []
                 for pending in pendings:
                     if isinstance(pending.query, TopKQuery):
@@ -629,37 +814,55 @@ class UpgradeEngine:
 
     # -- retries ---------------------------------------------------------------
 
-    def _retry_or_fail(
-        self,
-        pendings: Sequence[PendingQuery],
-        exc: TransientError,
-        attempt: int,
-        kind: str,
-    ) -> bool:
-        """Back off and return True to retry; fail ``pendings`` otherwise.
+    # error-boundary: per-request containment — fail, never hang
+    def _serve_retrying(
+        self, pendings: List[PendingQuery], kind: str, serve_once
+    ) -> None:
+        """Run ``serve_once(unresolved)`` until every request resolves.
 
-        Retries stop at the policy's attempt cap or once every waiting
-        request's deadline has passed (a retry nobody can wait for is
-        wasted work).
+        A :class:`TransientError` backs off and re-executes only the
+        unresolved remainder (deadline partials and early-k completions
+        stay resolved); retries stop at the policy's attempt cap or once
+        every waiting request's deadline has passed (a retry nobody can
+        wait for is wasted work).  Any other error fails the remainder.
         """
-        now = time.monotonic()
-        waiting = [
-            p
-            for p in pendings
-            if not p.done()
-            and (p.abs_deadline is None or p.abs_deadline > now)
-        ]
-        if attempt >= self.retry_policy.max_attempts or not waiting:
-            for pending in pendings:
-                if not pending.done():
-                    self._metrics.record_request(
-                        kind, 0.0, 0.0, partial=False, error=True
-                    )
-                    pending._fail(exc)
-            return False
-        self._metrics.record_retry()
-        time.sleep(self.retry_policy.delay_s(attempt))
-        return True
+        attempt = 1
+        while True:
+            unresolved = [p for p in pendings if not p.done()]
+            if not unresolved:
+                return
+            try:
+                serve_once(unresolved)
+                return
+            except TransientError as exc:
+                now = time.monotonic()
+                waiting = any(
+                    p.abs_deadline is None or p.abs_deadline > now
+                    for p in unresolved
+                    if not p.done()
+                )
+                if attempt < self.retry_policy.max_attempts and waiting:
+                    self._metrics.record_retry()
+                    time.sleep(self.retry_policy.delay_s(attempt))
+                    attempt += 1
+                    continue
+                self._fail(unresolved, exc, kind)
+                return
+            except Exception as exc:
+                self._fail(unresolved, exc, kind)
+                return
+
+    def _fail(
+        self, pendings: Sequence[PendingQuery], exc: BaseException, kind: str
+    ) -> None:
+        for pending in pendings:
+            if not pending.done():
+                self._metrics.record_request(
+                    kind, 0.0, 0.0, partial=False, error=True
+                )
+                pending._fail(exc)
+
+    # -- product queries -------------------------------------------------------
 
     # error-boundary: per-request containment — fail, never hang
     def _serve_product(
@@ -668,31 +871,15 @@ class UpgradeEngine:
         try:
             with activate(pending.trace):
                 with span("engine.execute", kind="product"):
-                    self._serve_product_retrying(pending, stats, epoch)
+                    self._serve_retrying(
+                        [pending],
+                        "product",
+                        lambda _: self._serve_product_once(
+                            pending, stats, epoch
+                        ),
+                    )
         finally:
             self._finish_trace(pending)
-
-    # error-boundary: per-request containment — fail, never hang
-    def _serve_product_retrying(
-        self, pending: PendingQuery, stats: Counters, epoch: Epoch
-    ) -> None:
-        attempt = 1
-        while not pending.done():
-            try:
-                self._serve_product_once(pending, stats, epoch)
-                return
-            except TransientError as exc:
-                if not self._retry_or_fail(
-                    [pending], exc, attempt, "product"
-                ):
-                    return
-                attempt += 1
-            except Exception as exc:
-                self._metrics.record_request(
-                    "product", 0.0, 0.0, partial=False, error=True
-                )
-                pending._fail(exc)
-                return
 
     def _serve_product_once(
         self, pending: PendingQuery, stats: Counters, epoch: Epoch
@@ -719,7 +906,14 @@ class UpgradeEngine:
             self._respond(pending, [result], partial=False,
                           cache_hit=True, epoch=epoch, kind="product")
             return
-        skyline = self.session.dominator_skyline(point, stats)
+        skyline, coverage = self._executor.dominator_skyline(
+            point, stats, pending.abs_deadline
+        )
+        if coverage <= 0.0:
+            # No shard answered: nothing safe to say about this cost.
+            self._respond(pending, [], partial=True, cache_hit=False,
+                          epoch=epoch, kind="product", coverage=0.0)
+            return
         cost, upgraded = upgrade(
             skyline,
             point,
@@ -728,86 +922,16 @@ class UpgradeEngine:
             stats,
         )
         result = UpgradeResult(query.product_id, point, upgraded, cost)
+        if coverage < 1.0:
+            # Exact over the reduced market only: labelled, a lower
+            # bound on the true cost, never guarded or cached.
+            self._respond(pending, [result], partial=True, cache_hit=False,
+                          epoch=epoch, kind="product", coverage=coverage)
+            return
         result = self._guarded_product_result(result)
         self._store_skyline(point, skyline, result, epoch)
         self._respond(pending, [result], partial=False,
                       cache_hit=False, epoch=epoch, kind="product")
-
-    # -- planning --------------------------------------------------------------
-
-    def _current_plan(self, epoch: Epoch) -> Optional[PlannedQuery]:
-        """The planner's choice for this catalog epoch (None = fixed join).
-
-        Cached per ``(epoch, planner version)``: mutations move the epoch
-        and calibration feedback (repeated misestimates, unit-cost
-        refits) bumps the version, so either forces a re-plan.  With
-        ``config.method="join"`` planning is skipped entirely — the
-        legacy fixed path.
-        """
-        if self.config.method == "join":
-            return None
-        with self._plan_lock:
-            cached = self._plan_cache
-            if (
-                cached is not None
-                and cached[0] == epoch
-                and cached[1] == self.planner.version
-            ):
-                return cached[2]
-        session = self.session
-        with span("engine.plan", method=self.config.method):
-            profile = profile_catalog(
-                session.competitor_index,
-                session.product_count,
-                session.dims,
-                product_tree=session.product_index,
-            )
-            logical = LogicalPlan(k=1, profile=profile)
-            force = None
-            if self.config.method == "probing":
-                force = PhysicalPlan(
-                    method="probing",
-                    vector_jl_from=self.planner.vector_jl_from,
-                )
-            planned = self.planner.plan(logical, force=force)
-        with self._plan_lock:
-            self._plan_cache = (epoch, planned.version, planned)
-        return planned
-
-    def _make_plan_upgrader(self, planned: Optional[PlannedQuery]):
-        """A session upgrader honoring the plan's join knobs (if any)."""
-        if planned is None:
-            return self.session.make_upgrader()
-        plan = planned.plan
-        return self.session.make_upgrader(
-            bound=plan.bound, vector_jl_from=plan.vector_jl_from
-        )
-
-    def _probing_topk(
-        self, k: int, stats: Counters
-    ) -> Tuple[List[UpgradeResult], bool, float]:
-        """One improved-probing run mapped back to catalog product ids.
-
-        Returns ``(results, exhausted, elapsed_s)``.  Work is charged to
-        ``stats`` — pass the request counters on the serving path, the
-        guard counters on oracle recomputes.
-        """
-        ids, points = self.session.products_by_id()
-        if not points:
-            return [], True, 0.0
-        outcome = improved_probing(
-            self.session.competitor_index,
-            points,
-            self.session.cost_model,
-            k,
-            self.session.config,
-        )
-        stats.merge(outcome.report.counters)
-        results = [
-            replace(r, record_id=ids[r.record_id])
-            for r in outcome.results
-        ]
-        return results, len(results) < k, outcome.report.elapsed_s
 
     # -- kernel result guard ---------------------------------------------------
 
@@ -854,7 +978,7 @@ class UpgradeEngine:
     def _oracle_topk(
         self, k: int, method: str = "join"
     ) -> List[UpgradeResult]:
-        """The scalar-path top-``k`` prefix (the guard's reference run).
+        """The in-process scalar top-``k`` prefix (the guard's reference).
 
         Recomputes with the same ``method`` the guarded run used, so the
         comparison isolates kernel-vs-scalar.  Charged to the guard
@@ -863,7 +987,9 @@ class UpgradeEngine:
         oracle_stats = Counters()
         with span("guard.recompute", kind="topk", k=k), use_kernels(False):
             if method != "join":
-                results, _exhausted, _ = self._probing_topk(k, oracle_stats)
+                results, _exhausted, _ = _probing_topk(
+                    self.session, k, oracle_stats
+                )
             else:
                 upgrader = self.session.make_upgrader()
                 results = []
@@ -876,6 +1002,8 @@ class UpgradeEngine:
             self._guard_stats.merge(oracle_stats)
         return results
 
+    # -- top-k queries ---------------------------------------------------------
+
     # error-boundary: per-request containment — fail, never hang
     def _serve_topk_group(
         self,
@@ -885,16 +1013,20 @@ class UpgradeEngine:
     ) -> None:
         """Serve a group of top-k requests under the group's traces.
 
-        The group shares one progressive join run, so its detailed spans
-        would be identical in every member's trace; they are recorded
-        once, into the first traced member (the *primary*).  Every other
-        traced member gets a retroactive ``engine.execute`` span pointing
-        at the primary's trace id, keeping queue wait and execution
-        separable per request without duplicating the join's span tree.
+        The group shares one run, so its detailed spans would be
+        identical in every member's trace; they are recorded once, into
+        the first traced member (the *primary*).  Every other traced
+        member gets a retroactive ``engine.execute`` span pointing at the
+        primary's trace id, keeping queue wait and execution separable
+        per request without duplicating the run's span tree.
         """
+
+        def serve(unresolved: List[PendingQuery]) -> None:
+            self._serve_topk_once(unresolved, stats, epoch)
+
         traced = [p for p in group if p.trace is not None]
         if not traced:
-            self._serve_topk_group_retrying(group, stats, epoch)
+            self._serve_retrying(group, "topk", serve)
             return
         primary = traced[0]
         start = clock()
@@ -903,7 +1035,7 @@ class UpgradeEngine:
                 with span(
                     "engine.execute", kind="topk", group_size=len(group)
                 ):
-                    self._serve_topk_group_retrying(group, stats, epoch)
+                    self._serve_retrying(group, "topk", serve)
         finally:
             end = clock()
             primary_id = primary.trace.trace_id
@@ -919,45 +1051,13 @@ class UpgradeEngine:
                     )
                 self._finish_trace(p)
 
-    # error-boundary: per-request containment — fail, never hang
-    def _serve_topk_group_retrying(
+    def _serve_topk_once(
         self,
         group: List[PendingQuery],
         stats: Counters,
         epoch: Epoch,
     ) -> None:
-        """Serve a group of top-k requests, retrying transient failures.
-
-        Requests already resolved before a retry (deadline partials,
-        early-k completions) stay resolved; only the unresolved remainder
-        re-executes.
-        """
-        attempt = 1
-        while any(not p.done() for p in group):
-            pendings = [p for p in group if not p.done()]
-            try:
-                self._serve_topk_group_once(pendings, stats, epoch)
-                return
-            except TransientError as exc:
-                if not self._retry_or_fail(pendings, exc, attempt, "topk"):
-                    return
-                attempt += 1
-            except Exception as exc:
-                for pending in pendings:
-                    if not pending.done():
-                        self._metrics.record_request(
-                            "topk", 0.0, 0.0, partial=False, error=True
-                        )
-                        pending._fail(exc)
-                return
-
-    def _serve_topk_group_once(
-        self,
-        group: List[PendingQuery],
-        stats: Counters,
-        epoch: Epoch,
-    ) -> None:
-        """One progressive join run serves every top-k request in ``group``."""
+        """One executor run serves every top-k request in ``group``."""
         k_max = max(p.query.k for p in group)
         cached = self._cached_topk(k_max)
         if cached is not None:
@@ -972,20 +1072,51 @@ class UpgradeEngine:
                     kind="topk",
                 )
             return
-        planned = self._current_plan(epoch)
-        if kernels_enabled() and self.kernel_guard.should_check():
-            self._serve_topk_group_guarded(group, stats, epoch, k_max, planned)
-            return
-        if planned is not None and planned.plan.method != "join":
-            self._serve_topk_group_probing(group, stats, epoch, planned)
-            return
+        # Requests already out of time get the (empty) prefix before
+        # anything runs — also on a guard-sampled run, which ignores
+        # deadlines once it starts.
+        now = time.monotonic()
+        expired = [
+            p
+            for p in group
+            if p.abs_deadline is not None and now >= p.abs_deadline
+        ]
+        for pending in expired:
+            self._respond(pending, [], partial=True, cache_hit=False,
+                          epoch=epoch, kind="topk")
+        if expired:
+            group = [p for p in group if not p.done()]
+            if not group:
+                return
+            k_max = max(p.query.k for p in group)
+        run = self._executor.topk(k_max, stats, epoch)
+        try:
+            if kernels_enabled() and self.kernel_guard.should_check():
+                results = self._guarded_topk(run, k_max)
+                for pending in group:
+                    self._respond_topk(pending, run, epoch, results)
+                exhausted = len(results) < k_max
+            else:
+                self._progressive_topk(group, run, epoch)
+                results, exhausted = run.results, run.exhausted
+        finally:
+            run.close()
+        # Any exact prefix is the exact top-|results| — even a
+        # deadline-truncated run warms the cache.
+        if run.exact and (results or exhausted):
+            self._store_topk(list(results), exhausted, epoch)
 
-        watch = Stopwatch()
-        upgrader = self._make_plan_upgrader(planned)
-        gen = upgrader.results()
-        results: List[UpgradeResult] = []
+    def _progressive_topk(
+        self, group: List[PendingQuery], run, epoch: Epoch
+    ) -> None:
+        """Advance ``run`` until every request is answered.
+
+        Each request resolves as soon as the run holds its ``k`` results;
+        one whose deadline passes first gets the prefix emitted so far,
+        labelled ``partial`` — an exact prefix of the canonical order
+        while the run's coverage is full.
+        """
         active = list(group)
-        exhausted = False
         while active:
             now = time.monotonic()
             alive: List[PendingQuery] = []
@@ -996,163 +1127,92 @@ class UpgradeEngine:
                 ):
                     self._respond(
                         pending,
-                        results[: pending.query.k],
+                        run.results[: pending.query.k],
                         partial=True,
                         cache_hit=False,
                         epoch=epoch,
                         kind="topk",
+                        coverage=run.coverage,
                     )
                 else:
                     alive.append(pending)
             active = alive
             if not active:
                 break
-            if len(results) >= max(p.query.k for p in active):
+            want = max(p.query.k for p in active)
+            if run.done or len(run.results) >= want:
                 break
-            try:
-                results.append(next(gen))
-            except StopIteration:
-                exhausted = True
+            if not run.advance(want, active):
                 break
-            still_waiting: List[PendingQuery] = []
+            waiting: List[PendingQuery] = []
             for pending in active:
-                if len(results) >= pending.query.k:
-                    self._respond(
-                        pending,
-                        results[: pending.query.k],
-                        partial=False,
-                        cache_hit=False,
-                        epoch=epoch,
-                        kind="topk",
-                    )
+                if run.done or len(run.results) >= pending.query.k:
+                    self._respond_topk(pending, run, epoch)
                 else:
-                    still_waiting.append(pending)
-            active = still_waiting
+                    waiting.append(pending)
+            active = waiting
         for pending in active:
-            # Stream drained (or a deeper request already pulled enough):
-            # everyone left gets a complete answer.
-            self._respond(
-                pending,
-                results[: pending.query.k],
-                partial=False,
-                cache_hit=False,
-                epoch=epoch,
-                kind="topk",
-            )
-        stats.merge(upgrader.stats)
-        if planned is not None:
-            self.planner.observe(planned, watch.split(), upgrader.stats)
-        if results or exhausted:
-            # Any progressive prefix is the exact top-|results| — even a
-            # deadline-truncated run warms the cache.
-            self._store_topk(results, exhausted, epoch)
+            # Run drained (or a deeper request already pulled enough):
+            # everyone left gets the final answer.
+            self._respond_topk(pending, run, epoch)
+        run.finish(guarded=False)
 
-    def _serve_topk_group_probing(
-        self,
-        group: List[PendingQuery],
-        stats: Counters,
-        epoch: Epoch,
-        planned: PlannedQuery,
-    ) -> None:
-        """Serve a top-k group with the planner-chosen probing plan.
+    def _guarded_topk(self, run, k_max: int) -> List[UpgradeResult]:
+        """A sampled run: the answer is cross-checked before anyone sees it.
 
-        Probing is not progressive, so deadline degradation is
-        all-or-nothing: requests whose deadline already expired get an
-        empty partial prefix up front (trivially an exact prefix of the
-        ranking); the survivors share one full run to the group's k.
+        The run is driven to ``k_max`` regardless of deadlines (a
+        divergent prefix must never be half-delivered), so every request
+        gets its complete validated prefix.  The scalar oracle reruns the
+        *same* method in-process, so a disagreement indicts the kernels,
+        not the plan.  Only an ``exact`` run is compared: a reduced-
+        coverage or degraded sharded answer differs from the oracle by
+        design and is served with its labels.
         """
-        now = time.monotonic()
-        active: List[PendingQuery] = []
-        for pending in group:
-            if (
-                pending.abs_deadline is not None
-                and now >= pending.abs_deadline
-            ):
-                self._respond(
-                    pending, [], partial=True, cache_hit=False,
-                    epoch=epoch, kind="topk",
-                )
-            else:
-                active.append(pending)
-        if not active:
-            return
-        k_max = max(p.query.k for p in active)
-        results, exhausted, elapsed_s = self._probing_topk(k_max, stats)
-        self.planner.observe(planned, elapsed_s)
-        for pending in active:
-            self._respond(
-                pending,
-                results[: pending.query.k],
-                partial=False,
-                cache_hit=False,
-                epoch=epoch,
-                kind="topk",
-            )
-        self._store_topk(results, exhausted, epoch)
-
-    def _serve_topk_group_guarded(
-        self,
-        group: List[PendingQuery],
-        stats: Counters,
-        epoch: Epoch,
-        k_max: int,
-        planned: Optional[PlannedQuery] = None,
-    ) -> None:
-        """A sampled top-k run: kernel answer cross-checked before anyone
-        sees it.
-
-        Unlike the progressive path, both runs complete before responses
-        go out (a divergent prefix must never be partially delivered);
-        deadline-expired requests still get a partial prefix — of the
-        *validated* results.  The scalar oracle reruns the *same*
-        physical plan, so a disagreement always indicts the kernels, not
-        the planner.
-        """
-        method = planned.plan.method if planned is not None else "join"
-        watch = Stopwatch()
-        if method != "join":
-            results, _exhausted, _ = self._probing_topk(k_max, stats)
-        else:
-            upgrader = self._make_plan_upgrader(planned)
-            results = []
-            for result in upgrader.results():
-                results.append(result)
-                if len(results) >= k_max:
-                    break
-            stats.merge(upgrader.stats)
-        if planned is not None:
-            self.planner.observe(planned, watch.split())
-        oracle = self._oracle_topk(k_max, method)
+        while not run.done and len(run.results) < k_max:
+            if not run.advance(k_max, ()):
+                break
+        run.finish(guarded=True)
+        results = run.results
+        if not run.exact:
+            return results
+        oracle = self._oracle_topk(k_max, run.method)
         guard = self.kernel_guard
         agree = len(results) == len(oracle) and all(
             served.record_id == truth.record_id
             and guard.costs_match(served.cost, truth.cost)
             for served, truth in zip(results, oracle)
         )
-        if not agree:
-            if guard.record_divergence(
-                divergence(
-                    "topk",
-                    [(r.record_id, r.cost) for r in results],
-                    [(r.record_id, r.cost) for r in oracle],
-                )
-            ):
-                self._metrics.record_quarantine()
-            results = oracle
-        # The guarded run drives the stream to k_max regardless of
-        # deadlines (a divergent prefix must never be half-delivered), so
-        # every request gets its complete validated prefix.
-        exhausted = len(results) < k_max
-        for pending in group:
-            self._respond(
-                pending,
-                results[: pending.query.k],
-                partial=False,
-                cache_hit=False,
-                epoch=epoch,
-                kind="topk",
+        if agree:
+            return results
+        if guard.record_divergence(
+            divergence(
+                "topk",
+                [(r.record_id, r.cost) for r in results],
+                [(r.record_id, r.cost) for r in oracle],
             )
-        self._store_topk(results, exhausted, epoch)
+        ):
+            self._metrics.record_quarantine()
+        return oracle
+
+    def _respond_topk(
+        self,
+        pending: PendingQuery,
+        run,
+        epoch: Epoch,
+        results: Optional[List[UpgradeResult]] = None,
+    ) -> None:
+        """The final answer: ``partial`` unless the run was exact."""
+        if results is None:
+            results = run.results
+        self._respond(
+            pending,
+            results[: pending.query.k],
+            partial=not run.exact,
+            cache_hit=False,
+            epoch=epoch,
+            kind="topk",
+            coverage=run.coverage,
+        )
 
     def _respond(
         self,
@@ -1162,6 +1222,7 @@ class UpgradeEngine:
         cache_hit: bool,
         epoch: Epoch,
         kind: str,
+        coverage: float = 1.0,
     ) -> None:
         now = time.monotonic()
         response = QueryResponse(
@@ -1171,18 +1232,21 @@ class UpgradeEngine:
             epoch=epoch,
             queue_wait_s=pending.queue_wait_s,
             elapsed_s=now - pending.enqueued_at,
+            coverage=coverage,
         )
         self._metrics.record_request(
             kind,
             response.elapsed_s,
             response.queue_wait_s,
             partial=partial,
+            coverage=coverage,
         )
         if pending.trace is not None:
             pending.trace.attrs.update(
                 cache_hit=cache_hit,
                 partial=partial,
                 results=len(results),
+                coverage=round(coverage, 4),
                 queue_wait_s=round(response.queue_wait_s, 6),
                 elapsed_s=round(response.elapsed_s, 6),
             )
@@ -1246,7 +1310,8 @@ class UpgradeEngine:
 
         Per-worker instances are merged into a fresh object — the
         originals keep accumulating race-free on their owning threads.
-        Guard-recompute work is excluded (see :meth:`guard_counters`).
+        Guard-recompute work is excluded (see :meth:`guard_counters`),
+        and so is work done inside shard worker processes.
         """
         total = Counters()
         if self._pool is not None:
@@ -1257,9 +1322,20 @@ class UpgradeEngine:
                 total.merge(c)
         return total
 
+    def shard_stats(self) -> Optional[Dict[str, object]]:
+        """Shard topology and per-process health (None in-process)."""
+        return self._executor.describe()["shards"]
+
     def metrics(self) -> Dict[str, object]:
-        """One JSON-serializable snapshot of engine health."""
+        """One JSON-serializable snapshot of engine health.
+
+        The key set is the same on both tiers; a section that only one
+        executor has (``planner``, ``shards``, ``shard_health``, the
+        worker-process counts under ``reliability``) is ``None`` on the
+        other.
+        """
         injector = active_injector()
+        executor = self._executor.describe()
         return self._metrics.snapshot(
             counters=self.counters(),
             extra={
@@ -1284,12 +1360,12 @@ class UpgradeEngine:
                     "fault_injection": (
                         injector.stats() if injector is not None else None
                     ),
+                    "worker_crashes": executor["worker_crashes"],
+                    "worker_respawns": executor["worker_respawns"],
                 },
-                "planner": (
-                    self.planner.stats()
-                    if self.config.method != "join"
-                    else None
-                ),
+                "planner": executor["planner"],
+                "shards": executor["shards"],
+                "shard_health": executor["shard_health"],
                 "cache_enabled": self.cache_enabled,
                 "skyline_cache": {
                     **self.skyline_cache.stats.as_dict(),
@@ -1311,5 +1387,6 @@ class UpgradeEngine:
         )
         return (
             f"UpgradeEngine(session={self.session!r}, workers={workers}, "
+            f"processes={self.config.processes}, "
             f"cache={'on' if self.cache_enabled else 'off'})"
         )

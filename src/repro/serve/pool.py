@@ -13,8 +13,8 @@ and this pool is deliberately only half the answer:
   backpressure, deadline-scoped execution, and batch formation
   (concurrent requests drained together and run as one amortized join).
 * **Kernel parallelism** is a *processes* problem, and it lives in
-  :mod:`repro.shard`, not here.  The
-  :class:`~repro.shard.engine.ShardedUpgradeEngine` hash-partitions the
+  :mod:`repro.shard`, not here.  The engine's
+  :class:`~repro.shard.engine.ShardExecutor` hash-partitions the
   competitor catalog into shards whose columnar blocks sit in POSIX
   shared memory, spawns workers that rebuild per-shard R-trees
   zero-copy, and scatter-gathers queries under a threshold merge that

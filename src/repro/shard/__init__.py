@@ -8,8 +8,10 @@ workers rebuild per-shard R-trees zero-copy, and the coordinator
 scatter-gathers queries with a threshold-algorithm merge that reproduces
 the single-process answers bit for bit.
 
-* :mod:`repro.shard.engine` — :class:`ShardedUpgradeEngine`, the
-  coordinator (same query API as the thread-tier engine);
+* :mod:`repro.shard.engine` — :class:`ShardExecutor`, what
+  :class:`~repro.serve.engine.UpgradeEngine` executes on when
+  ``EngineConfig.processes > 0`` (``ShardedUpgradeEngine`` is the
+  engine class itself);
 * :mod:`repro.shard.worker` — the spawned worker loop and its
   :class:`ShardSpec` bootstrap record;
 * :mod:`repro.shard.client` — :class:`ShardProcess` supervision:
@@ -28,7 +30,7 @@ the single-process answers bit for bit.
 """
 
 from repro.shard.client import PendingReply, ShardProcess
-from repro.shard.engine import ShardedUpgradeEngine
+from repro.shard.engine import ShardedUpgradeEngine, ShardExecutor
 from repro.shard.memory import SegmentSpec, SharedBlock, padded_capacity
 from repro.shard.merge import ThresholdMerge
 from repro.shard.partition import (
@@ -54,6 +56,7 @@ __all__ = [
     "SegmentSpec",
     "ShardProcess",
     "ShardResilience",
+    "ShardExecutor",
     "ShardSpec",
     "ShardedUpgradeEngine",
     "SharedBlock",

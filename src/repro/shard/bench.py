@@ -28,7 +28,6 @@ import numpy as np
 from repro.serve.bench import build_session, generate_requests
 from repro.serve.config import EngineConfig
 from repro.serve.engine import Query, UpgradeEngine
-from repro.shard.engine import ShardedUpgradeEngine
 
 _BATCH = 32
 
@@ -106,10 +105,7 @@ def _run_cell(
         processes=processes,
         shards=shards,
     )
-    if processes > 0:
-        engine = ShardedUpgradeEngine(session, config)
-    else:
-        engine = UpgradeEngine(session, config)
+    engine = UpgradeEngine(session, config)
     try:
         out = replay_mixed(engine, requests, write_points, write_every)
         if processes > 0:

@@ -1,102 +1,79 @@
-"""The multi-process sharded upgrade engine (scatter-gather tier).
+"""The sharded executor: competitor shards in worker processes.
 
-:class:`ShardedUpgradeEngine` serves the same query API as the
-thread-tier :class:`~repro.serve.engine.UpgradeEngine`, but executes the
-kernels in ``processes`` spawned worker processes, each owning one or
-more hash shards (``record_id % shards``) of the competitor catalog:
+:class:`ShardExecutor` is what :class:`~repro.serve.engine.UpgradeEngine`
+runs queries on when ``EngineConfig.processes > 0``.  The engine front
+end (admission, pool, caches, deadlines, retries, guards, tracing,
+metrics) is the same as in-process; the executor hides everything about
+the process fleet behind the seam the front end drives:
 
 * **Shared-memory catalogs** — every shard's columnar
   :class:`~repro.kernels.block.PointBlock` lives in POSIX shared memory
   (:mod:`repro.shard.memory`); workers attach zero-copy and rebuild
   their shard R-trees locally with the
   :meth:`~repro.rtree.tree.RTree.bulk_load_block` fast path.
-* **Scatter-gather queries** — product queries scatter batched skyline
-  requests and merge with :func:`~repro.core.dominators.merge_skylines`
-  (bit-identical to a single-process traversal); top-k queries run one
-  progressive stream per shard and merge under the threshold rule of
-  :class:`~repro.shard.merge.ThresholdMerge`, emitting the canonical
-  global ``(cost, record_id)`` order with early termination.
-* **Shard-level epochs** — a mutation republishes and version-bumps
+* **Shard sync on mutation** — a mutation republishes and version-bumps
   *only the owning shard's* segment (plus an idempotent incremental
   index op in the live worker); the cache epoch is the vector
-  ``(e_0, …, e_{S-1}, product_epoch)``, so the precise invalidation
-  rules of :mod:`repro.serve.cache` carry over unchanged.
-* **Crash containment** — a killed worker process fails its in-flight
-  requests with a typed :class:`~repro.exceptions.WorkerCrashError`
-  (never a hang), and is eagerly respawned from the *current* segment
-  specs; because segments are republished eagerly on every mutation, a
-  respawned worker is consistent by construction.
-* **Degraded-mode resilience** (:mod:`repro.shard.resilience`) — every
-  shard RPC carries the request's remaining deadline budget (workers
-  truncate cooperatively), stragglers are hedged after a calibrated
-  p95-based delay, per-process circuit breakers skip flapping workers
-  (re-admitted via supervisor half-open probes), and when shards are
-  missing the threshold merge finalizes what is provably correct from
-  the live ones: responses carry ``partial=True`` plus a ``coverage``
-  fraction (shards contributing / total).  Full-coverage partial
-  answers are exact prefixes of the canonical order; reduced-coverage
-  answers are exact over the reduced market (per-product lower bounds
-  on true costs).  Only full-coverage, non-degraded results are ever
-  cached.
+  ``(e_0, …, e_{S-1}, product_epoch)``, so the front end's precise
+  invalidation carries over unchanged.
+* **Scatter-gather** — :meth:`ShardExecutor.dominator_skyline` scatters
+  one batched skyline request and merges with
+  :func:`~repro.core.dominators.merge_skylines` (bit-identical to a
+  single-process traversal); a top-k run (:class:`_ShardTopK`) streams
+  every shard progressively and merges under the threshold rule of
+  :class:`~repro.shard.merge.ThresholdMerge`, emitting the canonical
+  global ``(cost, record_id)`` order with early termination.
+* **Degraded mode** (:mod:`repro.shard.resilience`) — every shard RPC
+  carries the request's remaining deadline budget, stragglers are
+  hedged, per-process circuit breakers skip flapping workers, and a
+  killed worker fails its in-flight RPCs with a typed error and is
+  respawned from the current segment specs.  Missing shards lower the
+  run's ``coverage``; a sighting whose skyline came back short of the
+  live shards *holds* the merge, so what was emitted stays an exact
+  prefix (``exact`` is then False and the answer is labelled partial).
 
 Coordinator-side exact costs: a sighted product's global cost is
 computed by merging its per-process skylines and running Algorithm 1
 (:func:`~repro.core.upgrade.upgrade`) once — the merged skyline is in
 the canonical ``(sum, lex)`` order, so the upgraded point is
-bit-identical to the single-process answer even at sort ties.
+bit-identical to the single-process answer even at sort ties.  The
+planner runs only in-process: workers run the fixed join unless
+``config.method="probing"``.
 
-Not replicated from the thread tier (document, don't pretend): the
-cost-based planner (workers run the fixed join unless
-``config.method="probing"``), kernel-guard sampling, and retry policies
-— the shard tier's reliability story is crash containment + respawn.
-
-Lock order (witnessed by the chaos suite): ``engine._rw`` →
+Lock order (witnessed under ``SKYUP_LOCK_WITNESS=1``): ``engine._rw`` →
 ``ShardProcess._lock``; the monitor thread takes only the handle lock,
 and the resilience supervisor takes only handle and breaker locks
 (breaker/hedge locks are leaves — nothing is acquired under them).
+
+:data:`ShardedUpgradeEngine` is the engine class itself, kept as the
+name the sharded tier has always been built by.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.dominators import merge_skylines
-from repro.core.session import MarketSession, MutationEvent
+from repro.core.session import MutationEvent
 from repro.core.types import UpgradeResult
 from repro.core.upgrade import upgrade
-from repro.exceptions import (
-    ConfigurationError,
-    EngineClosedError,
-    EngineOverloadedError,
-    TransientError,
-    WorkerCrashError,
-)
+from repro.exceptions import EngineClosedError, WorkerCrashError
 from repro.instrumentation import Counters
-from repro.obs import Trace, Tracer, TraceStore, activate, clock, span
-from repro.serve.cache import SkylineCache, TopKCache
-from repro.serve.config import EngineConfig
-from repro.serve.engine import (
-    PendingQuery,
-    ProductQuery,
-    Query,
-    QueryResponse,
-    TopKQuery,
-)
-from repro.serve.metrics import EngineMetrics
-from repro.serve.pool import ReadWriteLock, WorkerPool
+from repro.obs import Trace, clock, current_trace
+from repro.serve.engine import Epoch, PendingQuery, UpgradeEngine
 from repro.shard.client import ShardProcess
 from repro.shard.memory import SharedBlock, padded_capacity
-from repro.shard.resilience import ShardResilience, scatter
+from repro.shard.merge import ThresholdMerge
 from repro.shard.partition import (
     partition_members,
     process_of,
     shard_of,
     shards_of_process,
 )
+from repro.shard.resilience import ShardResilience, scatter
 from repro.shard.worker import ShardSpec
 
 Point = Tuple[float, ...]
@@ -115,53 +92,35 @@ _STREAM_BATCH = 16
 _MUTATE_TIMEOUT_S = 60.0
 
 
-class ShardedUpgradeEngine:
-    """Serve upgrade queries from a fleet of shard worker processes.
+def _remaining(pendings: Sequence[PendingQuery]) -> Optional[float]:
+    """Longest remaining deadline budget (None = no deadline)."""
+    deadlines = [p.abs_deadline for p in pendings]
+    if not deadlines or any(d is None for d in deadlines):
+        return None
+    return max(0.001, max(deadlines) - time.monotonic())
+
+
+class ShardExecutor:
+    """The worker-process fleet behind one sharded engine.
 
     Args:
-        session: the authoritative market state.  The engine registers a
-            mutation listener that keeps the shared segments and worker
-            indexes synchronized — route mutations through the engine's
-            mutator methods (they hold the write lock).
-        config: :class:`~repro.serve.config.EngineConfig`; ``processes``
-            and ``shards`` select the topology (``processes`` defaults
-            to 1, ``shards`` to one per process).  ``workers`` > 0
-            additionally attaches the thread-tier request pool in front
-            of the scatter-gather path.
+        engine: the owning front end.  Its session is the authoritative
+            market state (partitioned here at start), its ``_rw`` lock
+            guards the segment state, and its skyline cache (with the
+            ``serve.cache`` fault point) backs sighting costs.
     """
 
-    def __init__(
-        self,
-        session: MarketSession,
-        config: Optional[EngineConfig] = None,
-    ):
-        self.config = config = config or EngineConfig()
-        self.session = session
-        self.n_processes = max(1, config.processes)
+    sharded = True
+
+    def __init__(self, engine: UpgradeEngine):
+        self._engine = engine
+        self.session = session = engine.session
+        self.config = config = engine.config
+        self.n_processes = config.processes
         self.n_shards = config.shards or self.n_processes
-        self.cache_enabled = config.cache
-        self.default_deadline_s = config.default_deadline_s
-        self.skyline_cache = SkylineCache(
-            max_entries=config.skyline_cache_entries
-        )
-        self.topk_cache = TopKCache()
-        self.tracer = Tracer(
-            sample_rate=config.trace_sample_rate,
-            slow_threshold_s=config.trace_slow_s,
-            seed=config.trace_seed,
-            max_spans=config.trace_max_spans,
-        )
-        self.trace_store = TraceStore(capacity=config.trace_store_capacity)
-        self._metrics = EngineMetrics(window=config.metrics_window)
-        self._rw = ReadWriteLock()
         self._ns = f"skyup{os.getpid()}x{next(_ENGINE_SEQ)}"
         self._segment_serial = itertools.count()
         self._stream_ids = itertools.count(1)
-        self._extern_counters: Dict[int, Counters] = (
-            {}
-        )  # guarded-by: _extern_lock
-        self._extern_lock = threading.Lock()
-        self._closed = False
 
         # Snapshot, partition, and publish the catalogs.
         cids, cpoints = session.competitors_by_id()
@@ -173,7 +132,7 @@ class ShardedUpgradeEngine:
         ]
         self._shard_epochs: List[int] = [0] * self.n_shards  # guarded-by: _rw
         self._shard_blocks: List[SharedBlock] = []  # guarded-by: _rw
-        for shard, (ids, points) in enumerate(buckets):
+        for ids, points in buckets:
             block = SharedBlock.create(
                 self._segment_name(),
                 session.dims,
@@ -217,17 +176,6 @@ class ShardedUpgradeEngine:
         )
         self._resilience.start()
 
-        self._pool: Optional[WorkerPool] = None
-        if config.workers > 0:
-            self._pool = WorkerPool(
-                self._handle_batch,
-                workers=config.workers,
-                queue_capacity=config.queue_capacity,
-                batch_max=config.batch_max,
-                on_batch_error=self._fail_batch,
-            )
-        session.add_mutation_listener(self._on_mutation)
-
     # -- topology / lifecycle --------------------------------------------------
 
     def _segment_name(self) -> str:
@@ -269,24 +217,20 @@ class ShardedUpgradeEngine:
         return factory
 
     @property
-    def epoch_vector(self) -> Tuple[int, ...]:  # holds-lock: _rw[read]
+    def _rw(self):
+        """The engine's readers-writer lock: it guards the segments."""
+        return self._engine._rw
+
+    def epoch(self) -> Epoch:  # holds-lock: _rw[read]
         """``(e_0, …, e_{S-1}, product_epoch)`` — the cache epoch."""
         return (*self._shard_epochs, self.session.product_epoch)
 
-    def close(self, timeout: float = 5.0) -> int:
-        """Stop pool, workers, and shared memory (idempotent)."""
-        if self._closed:
-            return 0
-        self._closed = True
-        stuck = 0
-        if self._pool is not None:
-            stuck = self._pool.close(timeout=timeout)
+    def close(self, timeout: float) -> None:
+        """Stop the supervisor, the workers, and shared memory."""
         self._resilience.stop()
-        self.session.remove_mutation_listener(self._on_mutation)
         for handle in self._handles:
             handle.close(timeout_s=timeout)
         self._teardown_shared_state()
-        return stuck
 
     def _teardown_shared_state(self) -> None:
         # Lock-free on purpose: runs after the pool and every worker are
@@ -298,66 +242,19 @@ class ShardedUpgradeEngine:
         self._product_block.close()  # skyup: ignore[SKY101]
         self._product_block.unlink()  # skyup: ignore[SKY101]
 
-    def __enter__(self) -> "ShardedUpgradeEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- catalog mutation (exclusive) -----------------------------------------
-
-    def add_competitor(self, point: Sequence[float]) -> int:
-        """Insert a competitor; republishes only its owning shard."""
-        with self._rw.write_locked():
-            return self.session.add_competitor(point)
-
-    def remove_competitor(self, competitor_id: int) -> bool:
-        """Remove a competitor; republishes only its owning shard."""
-        with self._rw.write_locked():
-            return self.session.remove_competitor(competitor_id)
-
-    def add_product(self, point: Sequence[float]) -> int:
-        """Add a catalog product (broadcast to every worker)."""
-        with self._rw.write_locked():
-            return self.session.add_product(point)
-
-    def remove_product(self, product_id: int) -> bool:
-        """Remove a catalog product (broadcast to every worker)."""
-        with self._rw.write_locked():
-            return self.session.remove_product(product_id)
-
-    def commit_upgrade(self, result: UpgradeResult) -> None:
-        """Commit an upgrade (product point replacement, broadcast)."""
-        with self._rw.write_locked():
-            self.session.commit_upgrade(result)
+    # -- shard sync (exclusive) ------------------------------------------------
 
     # holds-lock: _rw[write]
-    def _on_mutation(self, event: MutationEvent) -> None:
-        """Precise invalidation + shard synchronization.
+    def on_mutation(self, event: MutationEvent) -> None:
+        """Shard synchronization, inside the mutating caller's write lock.
 
-        Runs inside the mutating caller's write lock.  Cache rules are
-        identical to the thread tier's; shard sync then (1) rewrites the
-        owning shard's shared segment in place (eager republish, so a
-        respawn at any moment rebuilds consistent state), (2) bumps that
-        shard's epoch, and (3) sends an idempotent incremental index op
-        to the live worker — the worker's tree *structure* now differs
-        from a bulk load, but skylines and streams are data-determined,
-        so answers are unaffected.
+        (1) Rewrite the owning shard's shared segment in place (eager
+        republish, so a respawn at any moment rebuilds consistent
+        state), (2) bump that shard's epoch, and (3) send an idempotent
+        incremental index op to the live worker — the worker's tree
+        *structure* now differs from a bulk load, but skylines and
+        streams are data-determined, so answers are unaffected.
         """
-        if event.side == "competitor":
-            self.skyline_cache.invalidate_point(event.point)
-            try:
-                overlaps = self.session.any_product_in_dominance_region(
-                    event.point
-                )
-            except TransientError:
-                self._metrics.record_cache_fault()
-                overlaps = True
-            if overlaps:
-                self.topk_cache.invalidate()
-        else:
-            self.topk_cache.invalidate()
-
         if event.side == "competitor":
             shard = shard_of(event.record_id, self.n_shards)
             members = self._shard_members[shard]
@@ -491,139 +388,6 @@ class ShardedUpgradeEngine:
                 if not handle.wait_ready(remaining):
                     return
 
-    # -- query submission ------------------------------------------------------
-
-    def query(self, query: Query) -> QueryResponse:
-        """Execute one request synchronously on the calling thread."""
-        return self.execute_batch([query])[0]
-
-    # error-boundary: chaos drivers replay through typed failures
-    def execute_batch(
-        self, queries: Sequence[Query], raise_errors: bool = True
-    ) -> List[QueryResponse]:
-        """Execute a batch synchronously; responses in request order.
-
-        Same contract as the thread tier: with ``raise_errors=False``
-        failed slots hold the exception object (the chaos suite replays
-        through typed :class:`WorkerCrashError` failures this way).
-        """
-        pendings = [self._admit(q) for q in queries]
-        self._execute_batch(pendings, self._calling_thread_counters())
-        if raise_errors:
-            return [p.result(timeout=0) for p in pendings]
-        out: List[QueryResponse] = []
-        for p in pendings:
-            try:
-                out.append(p.result(timeout=0))
-            except Exception as exc:
-                out.append(exc)  # type: ignore[arg-type]
-        return out
-
-    def submit(self, query: Query) -> PendingQuery:
-        """Enqueue one request on the thread pool (requires workers>0)."""
-        return self.submit_batch([query])[0]
-
-    def submit_batch(self, queries: Sequence[Query]) -> List[PendingQuery]:
-        """Enqueue requests atomically on the thread pool."""
-        if self._pool is None:
-            raise ConfigurationError(
-                "engine has no worker pool (workers=0); use query() / "
-                "execute_batch()"
-            )
-        pendings = [self._admit(q) for q in queries]
-        try:
-            self._pool.submit_many(pendings)
-        except (EngineClosedError, EngineOverloadedError):
-            self._metrics.record_rejection()
-            raise
-        return pendings
-
-    def _admit(self, query: Query) -> PendingQuery:
-        if self._closed:
-            raise EngineClosedError("engine is closed")
-        if isinstance(query, TopKQuery):
-            if query.k < 1:
-                raise ConfigurationError(f"k must be >= 1, got {query.k}")
-        elif not isinstance(query, ProductQuery):
-            raise ConfigurationError(
-                f"unsupported query type: {type(query).__name__}"
-            )
-        pending = PendingQuery(query, self.default_deadline_s)
-        if self.tracer.enabled:
-            if isinstance(query, TopKQuery):
-                trace = self.tracer.start(
-                    "topk", k=query.k, sharded=True
-                )
-            else:
-                trace = self.tracer.start(
-                    "product", product_id=query.product_id, sharded=True
-                )
-            if trace is not None:
-                pending.trace = trace
-                trace.span("engine.request").__enter__()
-        return pending
-
-    # -- execution -------------------------------------------------------------
-
-    def _handle_batch(
-        self, batch: List[PendingQuery], counters: Counters
-    ) -> None:
-        self._execute_batch(batch, counters)
-
-    def _fail_batch(
-        self, pendings: Sequence[PendingQuery], exc: BaseException
-    ) -> None:
-        self._metrics.record_worker_crash()
-        wrapped = WorkerCrashError(f"batch execution crashed: {exc!r}")
-        wrapped.__cause__ = exc
-        for pending in pendings:
-            if not pending.done():
-                kind = (
-                    "topk"
-                    if isinstance(pending.query, TopKQuery)
-                    else "product"
-                )
-                self._metrics.record_request(
-                    kind, 0.0, 0.0, partial=False, error=True
-                )
-                pending._fail(wrapped)
-            if pending.trace is not None:
-                pending.trace.attrs.setdefault("error", type(exc).__name__)
-                self._finish_trace(pending)
-
-    # error-boundary: batch containment — no caller is left hanging
-    def _execute_batch(
-        self, pendings: List[PendingQuery], counters: Counters
-    ) -> None:
-        now = time.monotonic()
-        worker = threading.current_thread().name
-        for p in pendings:
-            p.mark_picked_up(now)
-            if p.trace is not None:
-                p.trace.record(
-                    "engine.queue_wait",
-                    p.trace.spans[0].t0,
-                    clock(),
-                    queue_wait_s=round(p.queue_wait_s, 6),
-                    worker=worker,
-                )
-        local = Counters()
-        try:
-            with self._rw.read_locked():
-                epoch = self.epoch_vector
-                topk_group: List[PendingQuery] = []
-                for pending in pendings:
-                    if isinstance(pending.query, TopKQuery):
-                        topk_group.append(pending)
-                    else:
-                        self._serve_product(pending, local, epoch)
-                if topk_group:
-                    self._serve_topk_group(topk_group, local, epoch)
-        except Exception as exc:
-            self._fail_batch(pendings, exc)
-        counters.merge(local)
-        self._metrics.record_batch(len(pendings))
-
     # -- scatter helpers -------------------------------------------------------
 
     def _replay_fragments(
@@ -644,10 +408,6 @@ class ShardedUpgradeEngine:
         return shards_of_process(
             handle.index, self.n_shards, self.n_processes
         )
-
-    def _mark_down(self, merge, handle: ShardProcess) -> None:
-        for shard in self._shards_of(handle):
-            merge.mark_down(shard)
 
     def _rpc_window(
         self, remaining: Optional[float]
@@ -688,16 +448,16 @@ class ShardedUpgradeEngine:
         points: List[Point],
         trace: Optional[Trace],
         remaining: Optional[float],
-    ) -> Tuple[List[List[Point]], List[float], List[ShardProcess]]:
+    ) -> Tuple[List[List[Point]], List[Set[int]], List[ShardProcess]]:
         """Batched skyline scatter over the breaker-admitted processes.
 
-        Returns one merged skyline per query point, the per-point
-        coverage fraction (shards contributing / total — breaker-open
-        processes, failed replies, and deadline-dropped trailing points
-        all reduce it), and the handles that failed for *shard-side*
-        reasons (crash, RPC-bound timeout; callers mark their shards
-        down).  Deadline-bounded timeouts reduce coverage but are not
-        reported as failures.
+        Returns one merged skyline per query point, the shards each
+        skyline covers (breaker-open processes, failed replies, and
+        deadline-dropped trailing points all leave shards out), and the
+        handles that failed for *shard-side* reasons (breaker open,
+        crash, RPC-bound timeout; callers mark their shards down).
+        Deadline-bounded timeouts shrink coverage but are not reported
+        as failures.
         """
         res = self._resilience
         live = [h for h in self._handles if res.allow(h.index)]
@@ -713,7 +473,7 @@ class ShardedUpgradeEngine:
             trace,
         )
         contributions: List[List[List[Point]]] = [[] for _ in points]
-        covered = [0] * len(points)
+        covered: List[Set[int]] = [set() for _ in points]
         for handle in live:
             outcome = outcomes[handle.index]
             if outcome.error is not None:
@@ -724,521 +484,39 @@ class ShardedUpgradeEngine:
             skylines, truncated = outcome.payload
             if truncated:
                 res.note_deadline_truncation()
-            n_shards = len(self._shards_of(handle))
+            shards = self._shards_of(handle)
             for j, sky in enumerate(skylines):
                 contributions[j].append(sky)
-                covered[j] += n_shards
+                covered[j].update(shards)
         merged = [
             merge_skylines(parts) if parts else []
             for parts in contributions
         ]
-        coverage = [c / self.n_shards for c in covered]
-        return merged, coverage, failed
+        return merged, covered, failed
 
-    def _cost_sightings(
-        self,
-        record_ids: List[int],
-        stats: Counters,
-        epoch: Tuple[int, ...],
-        trace: Optional[Trace],
-        remaining: Optional[float],
-        merge,
-    ) -> Tuple[float, List[ShardProcess]]:
-        """Settle every new sighting's exact cost into the merge.
+    # -- the executor seam -----------------------------------------------------
 
-        Every id ends up either costed (:meth:`ThresholdMerge.
-        add_candidate`) or released (:meth:`~ThresholdMerge.abandon` —
-        racing removal, or zero skyline coverage), so the merge is
-        always drainable afterwards.  Returns the minimum skyline
-        coverage used (``< 1.0`` means some cost is a reduced-market
-        lower bound — the response must be labeled degraded) and the
-        shard-side failed handles.
-        """
-        session = self.session
-        min_cov = 1.0
-        misses: List[Tuple[int, Point]] = []
-        for rid in record_ids:
-            point = session.product_point(rid)
-            if point is None:
-                merge.abandon(rid)  # racing removal: nothing to cost
-                continue
-            entry = (
-                self.skyline_cache.get(point)
-                if self.cache_enabled
-                else None
-            )
-            if entry is not None:
-                cached = entry.result
-                merge.add_candidate(
-                    UpgradeResult(
-                        rid, point, cached.upgraded, cached.cost
-                    )
-                )
-            else:
-                misses.append((rid, point))
-        failed: List[ShardProcess] = []
-        if misses:
-            merged, coverage, failed = self._scatter_skylines(
-                [p for _, p in misses], trace, remaining
-            )
-            for (rid, point), skyline, cov in zip(
-                misses, merged, coverage
-            ):
-                if cov <= 0.0:
-                    merge.abandon(rid)  # no shard answered: unknowable
-                    min_cov = 0.0
-                    continue
-                cost, upgraded = upgrade(
-                    skyline,
-                    point,
-                    session.cost_model,
-                    session.config,
-                    stats,
-                )
-                result = UpgradeResult(rid, point, upgraded, cost)
-                # Only full-coverage skylines may enter the cache: a
-                # reduced-market cost must never masquerade as exact.
-                if self.cache_enabled and cov >= 1.0:
-                    self.skyline_cache.put(point, skyline, result, epoch)
-                merge.add_candidate(result)
-                min_cov = min(min_cov, cov)
-        return min_cov, failed
-
-    @staticmethod
-    def _remaining(pendings: List[PendingQuery]) -> Optional[float]:
-        """Longest remaining deadline budget (None = no deadline)."""
-        deadlines = [p.abs_deadline for p in pendings]
-        if any(d is None for d in deadlines):
-            return None
-        return max(0.001, max(deadlines) - time.monotonic())
-
-    # -- product queries -------------------------------------------------------
-
-    # error-boundary: per-request containment — fail, never hang
-    def _serve_product(
-        self,
-        pending: PendingQuery,
-        stats: Counters,
-        epoch: Tuple[int, ...],
-    ) -> None:
-        try:
-            with activate(pending.trace):
-                with span("engine.execute", kind="product"):
-                    try:
-                        self._serve_product_once(pending, stats, epoch)
-                    except Exception as exc:
-                        self._metrics.record_request(
-                            "product", 0.0, 0.0, partial=False, error=True
-                        )
-                        pending._fail(exc)
-        finally:
-            self._finish_trace(pending)
-
-    def _serve_product_once(
-        self,
-        pending: PendingQuery,
-        stats: Counters,
-        epoch: Tuple[int, ...],
-    ) -> None:
-        query = pending.query
-        point = self.session.product_point(query.product_id)
-        if point is None:
-            raise ConfigurationError(
-                f"unknown product id {query.product_id}"
-            )
-        if (
-            pending.abs_deadline is not None
-            and time.monotonic() >= pending.abs_deadline
-        ):
-            self._respond(pending, [], partial=True, cache_hit=False,
-                          epoch=epoch, kind="product", coverage=0.0)
-            return
-        entry = (
-            self.skyline_cache.get(point) if self.cache_enabled else None
+    def dominator_skyline(
+        self, point: Point, stats: Counters, deadline: Optional[float]
+    ) -> Tuple[List[Point], float]:
+        """One product's merged skyline and the fraction of shards in it."""
+        remaining = (
+            None
+            if deadline is None
+            else max(0.001, deadline - time.monotonic())
         )
-        if entry is not None:
-            cached = entry.result
-            result = UpgradeResult(
-                query.product_id, point, cached.upgraded, cached.cost
-            )
-            self._respond(pending, [result], partial=False,
-                          cache_hit=True, epoch=epoch, kind="product")
-            return
-        remaining = self._remaining([pending])
-        merged, point_cov, _failed = self._scatter_skylines(
-            [point], pending.trace, remaining
+        merged, covered, _failed = self._scatter_skylines(
+            [point], current_trace(), remaining
         )
-        coverage = point_cov[0]
-        if coverage <= 0.0:
-            # No shard answered at all: there is nothing safe to say
-            # about this product's cost.
-            self._respond(pending, [], partial=True, cache_hit=False,
-                          epoch=epoch, kind="product", coverage=0.0)
-            return
-        skyline = merged[0]
-        cost, upgraded = upgrade(
-            skyline,
-            point,
-            self.session.cost_model,
-            self.session.config,
-            stats,
-        )
-        result = UpgradeResult(query.product_id, point, upgraded, cost)
-        if self.cache_enabled and coverage >= 1.0:
-            self.skyline_cache.put(point, skyline, result, epoch)
-        self._respond(pending, [result], partial=coverage < 1.0,
-                      cache_hit=False, epoch=epoch, kind="product",
-                      coverage=coverage)
+        return merged[0], len(covered[0]) / self.n_shards
 
-    # -- top-k queries ---------------------------------------------------------
-
-    # error-boundary: per-request containment — fail, never hang
-    def _serve_topk_group(
-        self,
-        group: List[PendingQuery],
-        stats: Counters,
-        epoch: Tuple[int, ...],
-    ) -> None:
-        traced = [p for p in group if p.trace is not None]
-        primary = traced[0] if traced else None
-        start = clock()
-        try:
-            with activate(primary.trace if primary else None):
-                with span(
-                    "engine.execute", kind="topk", group_size=len(group)
-                ):
-                    try:
-                        self._serve_topk_group_once(
-                            group, stats, epoch, primary
-                        )
-                    except Exception as exc:
-                        for pending in group:
-                            if not pending.done():
-                                self._metrics.record_request(
-                                    "topk", 0.0, 0.0,
-                                    partial=False, error=True,
-                                )
-                                pending._fail(exc)
-        finally:
-            end = clock()
-            for p in traced:
-                if p is not primary and p.trace is not None:
-                    p.trace.record(
-                        "engine.execute",
-                        start,
-                        end,
-                        kind="topk",
-                        group_size=len(group),
-                        shared_with_trace=primary.trace.trace_id
-                        if primary.trace is not None
-                        else None,
-                    )
-                self._finish_trace(p)
-
-    def _serve_topk_group_once(
-        self,
-        group: List[PendingQuery],
-        stats: Counters,
-        epoch: Tuple[int, ...],
-        primary: Optional[PendingQuery],
-    ) -> None:
-        """One scatter-gather merge run serves the whole group.
-
-        Degradation paths all land in one of two labeled responses:
-
-        * *deadline sweep* — an out-of-time request gets the
-          bound-proven prefix emitted so far (an exact prefix of the
-          canonical order while coverage is full);
-        * *final respond* — when shards went down (breaker-open, crash,
-          RPC-bound timeout) the merge completes from the live shards
-          and the response carries ``coverage < 1``.
-
-        A response is ``partial`` iff its coverage is below 1 or some
-        exact cost had to be computed over a partial skyline
-        (``degraded``); only clean full-coverage runs populate the
-        top-k cache.
-        """
-        from repro.shard.merge import ThresholdMerge
-
-        res = self._resilience
-        k_max = max(p.query.k for p in group)
-        cached = (
-            self.topk_cache.get(k_max) if self.cache_enabled else None
-        )
-        if cached is not None:
-            prefix, _exhausted = cached
-            for pending in group:
-                self._respond(
-                    pending,
-                    prefix[: pending.query.k],
-                    partial=False,
-                    cache_hit=True,
-                    epoch=epoch,
-                    kind="topk",
-                )
-            return
-
-        trace = primary.trace if primary is not None else None
-        method = (
-            "probing" if self.config.method == "probing" else "join"
-        )
-        stream_id = next(self._stream_ids)
-        merge = ThresholdMerge(self.n_shards, k_max)
-        degraded = False  # some exact cost used a partial skyline
-        live: List[ShardProcess] = []
-        for handle in self._handles:
-            if res.allow(handle.index):
-                live.append(handle)
-            else:
-                self._mark_down(merge, handle)
-        skipped = len(self._handles) - len(live)
-        if skipped:
-            res.note_skip(skipped)
-            if trace is not None:
-                trace.attrs["breaker_skips"] = skipped
-        opened: List[ShardProcess] = []
-        if live:
-            outcomes = self._scatter(
-                live,
-                "topk_open",
-                lambda h: (stream_id, method),
-                self._remaining(group),
-                trace,
-            )
-            for handle in live:
-                if outcomes[handle.index].error is None:
-                    opened.append(handle)
-                else:
-                    # Stream never opened: the shards contribute
-                    # nothing regardless of whose fault the failure is.
-                    self._mark_down(merge, handle)
-        seqs = {handle.index: 0 for handle in opened}
-        streaming = list(opened)
-        active = list(group)
-        batch = max(_STREAM_BATCH, k_max)
-        try:
-            while active:
-                now = time.monotonic()
-                alive: List[PendingQuery] = []
-                for pending in active:
-                    if (
-                        pending.abs_deadline is not None
-                        and now >= pending.abs_deadline
-                    ):
-                        self._respond(
-                            pending,
-                            merge.emitted[: pending.query.k],
-                            partial=True,
-                            cache_hit=False,
-                            epoch=epoch,
-                            kind="topk",
-                            coverage=merge.coverage,
-                        )
-                    else:
-                        alive.append(pending)
-                active = alive
-                if not active:
-                    break
-                if merge.done or len(merge.emitted) >= max(
-                    p.query.k for p in active
-                ):
-                    break
-                ask = [
-                    h
-                    for h in streaming
-                    if any(
-                        not merge.exhausted[s] and not merge.down[s]
-                        for s in self._shards_of(h)
-                    )
-                ]
-                if not ask:
-                    break  # no live progress possible: finalize degraded
-                remaining = self._remaining(active)
-                outcomes = self._scatter(
-                    ask,
-                    "topk_next",
-                    lambda h: (
-                        stream_id,
-                        seqs[h.index],
-                        batch,
-                        trace is not None,
-                        remaining,
-                    ),
-                    remaining,
-                    trace,
-                )
-                new_ids: List[int] = []
-                for handle in ask:
-                    outcome = outcomes[handle.index]
-                    if outcome.error is not None:
-                        if not outcome.deadline_bounded:
-                            # Shard-side failure: finish without it.
-                            # (Deadline-bounded timeouts retire the
-                            # requests at the next sweep instead.)
-                            streaming.remove(handle)
-                            self._mark_down(merge, handle)
-                        continue
-                    seqs[handle.index] += 1
-                    self._replay_fragments(trace, outcome.fragments)
-                    rows_reply, was_truncated = outcome.payload
-                    if was_truncated:
-                        res.note_deadline_truncation()
-                    for shard, rows, frontier, exh in rows_reply:
-                        new_ids.extend(
-                            merge.observe(shard, rows, frontier, exh)
-                        )
-                if new_ids:
-                    min_cov, failed = self._cost_sightings(
-                        sorted(new_ids),
-                        stats,
-                        epoch,
-                        trace,
-                        self._remaining(active),
-                        merge,
-                    )
-                    if min_cov < 1.0:
-                        degraded = True
-                    for handle in failed:
-                        if handle in streaming:
-                            streaming.remove(handle)
-                        self._mark_down(merge, handle)
-                merge.drain()
-                waiting: List[PendingQuery] = []
-                for pending in active:
-                    if (
-                        len(merge.emitted) >= pending.query.k
-                        or merge.done
-                    ):
-                        self._respond_topk_final(
-                            pending, merge, degraded, epoch
-                        )
-                    else:
-                        waiting.append(pending)
-                active = waiting
-            for pending in active:
-                self._respond_topk_final(pending, merge, degraded, epoch)
-        finally:
-            for handle in opened:
-                try:
-                    handle.submit("topk_close", stream_id)
-                except (EngineClosedError, WorkerCrashError):
-                    pass
-        exhausted = merge.all_exhausted and len(merge.emitted) < k_max
-        if (
-            self.cache_enabled
-            and merge.coverage >= 1.0
-            and not degraded
-            and (merge.emitted or exhausted)
-        ):
-            self.topk_cache.put(list(merge.emitted), exhausted, epoch)
-
-    def _respond_topk_final(
-        self,
-        pending: PendingQuery,
-        merge,
-        degraded: bool,
-        epoch: Tuple[int, ...],
-    ) -> None:
-        coverage = merge.coverage
-        self._respond(
-            pending,
-            merge.emitted[: pending.query.k],
-            partial=coverage < 1.0 or degraded,
-            cache_hit=False,
-            epoch=epoch,
-            kind="topk",
-            coverage=coverage,
-        )
-
-    # -- responses / observability ---------------------------------------------
-
-    def _respond(
-        self,
-        pending: PendingQuery,
-        results: List[UpgradeResult],
-        partial: bool,
-        cache_hit: bool,
-        epoch: Tuple[int, ...],
-        kind: str,
-        coverage: float = 1.0,
-    ) -> None:
-        now = time.monotonic()
-        response = QueryResponse(
-            results=list(results),
-            partial=partial,
-            cache_hit=cache_hit,
-            epoch=epoch,
-            queue_wait_s=pending.queue_wait_s,
-            elapsed_s=now - pending.enqueued_at,
-            coverage=coverage,
-        )
-        self._metrics.record_request(
-            kind,
-            response.elapsed_s,
-            response.queue_wait_s,
-            partial=partial,
-            coverage=coverage,
-        )
-        if pending.trace is not None:
-            pending.trace.attrs.update(
-                cache_hit=cache_hit,
-                partial=partial,
-                results=len(results),
-                coverage=round(coverage, 4),
-                queue_wait_s=round(response.queue_wait_s, 6),
-                elapsed_s=round(response.elapsed_s, 6),
-            )
-        pending._resolve(response)
-
-    def _finish_trace(self, pending: PendingQuery) -> None:
-        trace = pending.trace
-        if trace is None:
-            return
-        pending.trace = None
-        if pending._exception is not None:
-            trace.attrs.setdefault(
-                "error", type(pending._exception).__name__
-            )
-        trace.spans[0].close()
-        keep, _ = self.tracer.finish(trace)
-        if keep:
-            self.trace_store.add(trace)
-
-    def recent_traces(self, n: Optional[int] = None) -> List[Trace]:
-        """The kept traces, oldest first (the last ``n`` when given)."""
-        traces = self.trace_store.snapshot()
-        if n is not None:
-            traces = traces[-n:]
-        return traces
-
-    def _calling_thread_counters(self) -> Counters:
-        ident = threading.get_ident()
-        with self._extern_lock:
-            counters = self._extern_counters.get(ident)
-            if counters is None:
-                counters = Counters()
-                self._extern_counters[ident] = counters
-            return counters
-
-    def counters(self) -> Counters:
-        """Coordinator-side work counters (merged across threads).
-
-        Worker-process counters stay in their processes; the
-        coordinator's share covers the exact-cost upgrades and merges.
-        """
-        total = Counters()
-        if self._pool is not None:
-            for c in self._pool.worker_counters:
-                total.merge(c)
-        with self._extern_lock:
-            for c in self._extern_counters.values():
-                total.merge(c)
-        return total
+    def topk(self, k_max: int, stats: Counters, epoch: Epoch) -> "_ShardTopK":
+        return _ShardTopK(self, k_max, stats, epoch)
 
     def shard_stats(self) -> Dict[str, object]:
         """Topology + per-process health (queue depth, crash counts)."""
         with self._rw.read_locked():
-            epochs = list(self.epoch_vector)
+            epochs = list(self.epoch())
         return {
             "n_shards": self.n_shards,
             "n_processes": self.n_processes,
@@ -1246,9 +524,7 @@ class ShardedUpgradeEngine:
             "per_process": [
                 {
                     "proc": handle.index,
-                    "shards": shards_of_process(
-                        handle.index, self.n_shards, self.n_processes
-                    ),
+                    "shards": self._shards_of(handle),
                     "queue_depth": handle.queue_depth,
                     "crashes": handle.crashes,
                     "respawns": handle.respawns,
@@ -1264,56 +540,235 @@ class ShardedUpgradeEngine:
             ],
         }
 
-    def metrics(self) -> Dict[str, object]:
-        """One JSON-serializable snapshot of engine health."""
-        return self._metrics.snapshot(
-            counters=self.counters(),
-            extra={
-                "epoch": list(self.session.epoch),
-                "config": self.config.describe(),
-                "tracing": {
-                    **self.tracer.stats(),
-                    "store": self.trace_store.stats(),
-                },
-                "queue_depth": (
-                    self._pool.queue_depth if self._pool is not None else 0
-                ),
-                "shards": self.shard_stats(),
-                "shard_health": self._resilience.snapshot(
-                    lambda proc: shards_of_process(
-                        proc, self.n_shards, self.n_processes
-                    )
-                ),
-                "reliability": {
-                    "worker_crashes": sum(
-                        h.crashes for h in self._handles
-                    ),
-                    "worker_respawns": sum(
-                        h.respawns for h in self._handles
-                    ),
-                    "pool_crashes": (
-                        self._pool.crash_count
-                        if self._pool is not None
-                        else 0
-                    ),
-                },
-                "cache_enabled": self.cache_enabled,
-                "skyline_cache": {
-                    **self.skyline_cache.stats.as_dict(),
-                    "hit_rate": self.skyline_cache.stats.hit_rate,
-                    "size": len(self.skyline_cache),
-                    "capacity": self.skyline_cache.max_entries,
-                },
-                "topk_cache": {
-                    **self.topk_cache.stats.as_dict(),
-                    "hit_rate": self.topk_cache.stats.hit_rate,
-                    "prefix_length": self.topk_cache.prefix_length,
-                },
-            },
-        )
+    def describe(self) -> Dict[str, object]:
+        return {
+            "planner": None,
+            "shards": self.shard_stats(),
+            "shard_health": self._resilience.snapshot(
+                lambda proc: shards_of_process(
+                    proc, self.n_shards, self.n_processes
+                )
+            ),
+            "worker_crashes": sum(h.crashes for h in self._handles),
+            "worker_respawns": sum(h.respawns for h in self._handles),
+        }
 
-    def __repr__(self) -> str:
-        return (
-            f"ShardedUpgradeEngine(session={self.session!r}, "
-            f"processes={self.n_processes}, shards={self.n_shards})"
+
+class _ShardTopK:
+    """One scatter-gather top-k run: a progressive stream per shard
+    merged under the threshold rule.
+
+    Streams open lazily on the first :meth:`advance`, each of which is
+    one merge round: pull a batch from every live stream, settle the new
+    sightings' exact costs, drain what the threshold proves final.
+    Shards that fail for shard-side reasons (breaker open, crash,
+    RPC-bound timeout) are marked down and the run completes from the
+    rest at ``coverage < 1``; a deadline-bounded timeout only ends the
+    round — the front end's deadline sweep then answers the requests.
+    """
+
+    def __init__(
+        self,
+        executor: ShardExecutor,
+        k_max: int,
+        stats: Counters,
+        epoch: Epoch,
+    ):
+        self._ex = executor
+        self._k_max = k_max
+        self._stats = stats
+        self._epoch = epoch
+        self._trace = current_trace()
+        self.method = (
+            "probing" if executor.config.method == "probing" else "join"
         )
+        self._merge = ThresholdMerge(executor.n_shards, k_max)
+        self._stream_id = next(executor._stream_ids)
+        self._opened: Optional[List[ShardProcess]] = None
+        self._streaming: List[ShardProcess] = []
+        self._seqs: Dict[int, int] = {}
+        self._batch = max(_STREAM_BATCH, k_max)
+
+    @property
+    def results(self) -> List[UpgradeResult]:
+        return self._merge.emitted
+
+    @property
+    def done(self) -> bool:
+        return self._merge.done
+
+    @property
+    def coverage(self) -> float:
+        return self._merge.coverage
+
+    @property
+    def exact(self) -> bool:
+        """Full coverage and no held sighting: the canonical answer."""
+        return self._merge.coverage >= 1.0 and not self._merge.held
+
+    @property
+    def exhausted(self) -> bool:
+        merge = self._merge
+        return merge.all_exhausted and len(merge.emitted) < self._k_max
+
+    def _mark_down(self, handle: ShardProcess) -> None:
+        if handle in self._streaming:
+            self._streaming.remove(handle)
+        for shard in self._ex._shards_of(handle):
+            self._merge.mark_down(shard)
+
+    def _open(self, active: Sequence[PendingQuery]) -> None:
+        ex, res, trace = self._ex, self._ex._resilience, self._trace
+        live: List[ShardProcess] = []
+        for handle in ex._handles:
+            if res.allow(handle.index):
+                live.append(handle)
+            else:
+                self._mark_down(handle)
+        skipped = len(ex._handles) - len(live)
+        if skipped:
+            res.note_skip(skipped)
+            if trace is not None:
+                trace.attrs["breaker_skips"] = skipped
+        self._opened = []
+        if not live:
+            return
+        outcomes = ex._scatter(
+            live,
+            "topk_open",
+            lambda h: (self._stream_id, self.method),
+            _remaining(active),
+            trace,
+        )
+        for handle in live:
+            if outcomes[handle.index].error is None:
+                self._opened.append(handle)
+                self._seqs[handle.index] = 0
+            else:
+                # Stream never opened: the shards contribute nothing
+                # regardless of whose fault the failure is.
+                self._mark_down(handle)
+        self._streaming = list(self._opened)
+
+    def advance(self, want: int, active: Sequence[PendingQuery]) -> bool:
+        """One merge round; False when no live stream can progress."""
+        if self._opened is None:
+            self._open(active)
+        ex, merge, trace = self._ex, self._merge, self._trace
+        ask = [
+            h
+            for h in self._streaming
+            if any(
+                not merge.exhausted[s] and not merge.down[s]
+                for s in ex._shards_of(h)
+            )
+        ]
+        if not ask:
+            return False
+        remaining = _remaining(active)
+        outcomes = ex._scatter(
+            ask,
+            "topk_next",
+            lambda h: (
+                self._stream_id,
+                self._seqs[h.index],
+                self._batch,
+                trace is not None,
+                remaining,
+            ),
+            remaining,
+            trace,
+        )
+        new_ids: List[int] = []
+        for handle in ask:
+            outcome = outcomes[handle.index]
+            if outcome.error is not None:
+                if not outcome.deadline_bounded:
+                    # Shard-side failure: finish without it.
+                    # (Deadline-bounded timeouts retire the requests at
+                    # the next sweep instead.)
+                    self._mark_down(handle)
+                continue
+            self._seqs[handle.index] += 1
+            ex._replay_fragments(trace, outcome.fragments)
+            rows_reply, was_truncated = outcome.payload
+            if was_truncated:
+                ex._resilience.note_deadline_truncation()
+            for shard, rows, frontier, exh in rows_reply:
+                new_ids.extend(merge.observe(shard, rows, frontier, exh))
+        if new_ids:
+            self._cost_sightings(sorted(new_ids), _remaining(active))
+        merge.drain()
+        return True
+
+    def _cost_sightings(
+        self, record_ids: List[int], remaining: Optional[float]
+    ) -> None:
+        """Settle every new sighting into the merge.
+
+        Each id ends up costed (:meth:`ThresholdMerge.add_candidate`),
+        released (:meth:`~ThresholdMerge.abandon` — a racing removal, or
+        every shard down), or *held* (:meth:`~ThresholdMerge.hold`): its
+        skyline came back without some shard the merge still counts as
+        live (a deadline cut the scatter short), so its cost is not
+        exact over the answer's market and its rank is unknown — the
+        merge emits nothing further.
+        """
+        ex, merge, engine = self._ex, self._merge, self._ex._engine
+        session = ex.session
+        misses: List[Tuple[int, Point]] = []
+        for rid in record_ids:
+            point = session.product_point(rid)
+            if point is None:
+                merge.abandon(rid)  # racing removal: nothing to cost
+                continue
+            entry = engine._cached_skyline_entry(point)
+            if entry is not None:
+                cached = entry.result
+                merge.add_candidate(
+                    UpgradeResult(rid, point, cached.upgraded, cached.cost)
+                )
+            else:
+                misses.append((rid, point))
+        if not misses:
+            return
+        merged, covered, failed = ex._scatter_skylines(
+            [p for _, p in misses], self._trace, remaining
+        )
+        for handle in failed:
+            self._mark_down(handle)
+        live = {s for s, down in enumerate(merge.down) if not down}
+        for (rid, point), skyline, shards in zip(misses, merged, covered):
+            if not live <= shards:
+                merge.hold(rid)
+                continue
+            if not shards:
+                merge.abandon(rid)  # every shard is down: unknowable
+                continue
+            cost, upgraded = upgrade(
+                skyline,
+                point,
+                session.cost_model,
+                session.config,
+                self._stats,
+            )
+            result = UpgradeResult(rid, point, upgraded, cost)
+            # Only full-coverage skylines may enter the cache: a
+            # reduced-market cost must never masquerade as exact.
+            if len(shards) == ex.n_shards:
+                engine._store_skyline(point, skyline, result, self._epoch)
+            merge.add_candidate(result)
+
+    def finish(self, guarded: bool) -> None:
+        pass
+
+    def close(self) -> None:
+        for handle in self._opened or ():
+            try:
+                handle.submit("topk_close", self._stream_id)
+            except (EngineClosedError, WorkerCrashError):
+                pass
+
+
+#: The sharded tier is the engine itself, built with ``processes > 0``.
+ShardedUpgradeEngine = UpgradeEngine

@@ -35,6 +35,19 @@ timed out):
   sighted, so once every **live** shard is exhausted there are no
   unsighted products left and the heap can flush.
 
+The costing step must keep up.  A sighting's exact cost comes from a
+skyline scatter, which can itself come back short: a deadline-bounded
+timeout (or a worker's cooperative truncation) leaves some shard out
+of a product's skyline without marking that shard down.  Costed from
+that skyline, the product would enter the heap under-priced — or, at
+zero coverage, not at all — while :attr:`ThresholdMerge.coverage`
+still claims the full market.  So the coordinator admits a cost only
+when the product's skyline covers every shard the merge counts as
+live; otherwise it *holds* the merge (:meth:`ThresholdMerge.hold`):
+that product's place in the order is unknown, so nothing more is
+emitted and the run ends labelled partial.  A shard that is down is
+left out on both sides, which is what "the reduced market" means.
+
 Hence a deadline-truncated answer at full coverage is an exact prefix
 of the canonical order, and an answer missing shards is the exact
 answer over the reduced market (a per-product lower bound on true
@@ -59,7 +72,9 @@ class ThresholdMerge:
     each new sighting's exact global cost is known, then :meth:`drain`.
     Draining with sightings still awaiting their exact cost would be
     unsound; :meth:`drain` guards against it (:meth:`abandon` releases a
-    sighting whose cost is unknowable, e.g. zero skyline coverage).
+    sighting whose cost is unknowable, e.g. every shard down;
+    :meth:`hold` releases one whose cost is not exact and stops
+    emission).
     """
 
     __slots__ = (
@@ -69,6 +84,7 @@ class ThresholdMerge:
         "down",
         "sighted",
         "emitted",
+        "held",
         "_heap",
         "_uncosted",
     )
@@ -80,6 +96,7 @@ class ThresholdMerge:
         self.down: List[bool] = [False] * n_shards
         self.sighted: Set[int] = set()
         self.emitted: List[UpgradeResult] = []
+        self.held = False
         self._heap: List[Tuple[float, int, UpgradeResult]] = []
         self._uncosted = 0
 
@@ -120,6 +137,18 @@ class ThresholdMerge:
         its skyline is down.
         """
         self._uncosted -= 1
+
+    def hold(self, record_id: int) -> None:
+        """Release a sighting whose exact cost is unknown, and stop.
+
+        Used when its skyline came back without some live shard (a
+        deadline cut the scatter short): its rank in the canonical
+        order is unknown, so nothing may be emitted past what already
+        was — :attr:`emitted` stays a proven prefix and the merge is
+        :attr:`done`.
+        """
+        self._uncosted -= 1
+        self.held = True
 
     def mark_down(self, shard: int) -> None:
         """Stop expecting progress from ``shard`` (crash/breaker/timeout).
@@ -163,7 +192,7 @@ class ThresholdMerge:
 
     @property
     def done(self) -> bool:
-        return len(self.emitted) >= self.k or (
+        return self.held or len(self.emitted) >= self.k or (
             self.all_live_exhausted
             and not self._heap
             and not self._uncosted
@@ -179,7 +208,8 @@ class ThresholdMerge:
         out: List[UpgradeResult] = []
         bound = self.threshold
         while (
-            self._heap
+            not self.held
+            and self._heap
             and len(self.emitted) < self.k
             and (self._heap[0][0] < bound or self.all_live_exhausted)
         ):

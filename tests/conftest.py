@@ -18,7 +18,7 @@ def lock_order_witness():
 
     With ``SKYUP_LOCK_WITNESS=1`` in the environment (the chaos CI job
     sets it), every :class:`~repro.serve.engine.UpgradeEngine` built by
-    any test is instrumented with one shared
+    any test, in-process or sharded, is instrumented with one shared
     :class:`~repro.analysis.lockorder.LockOrderWitness`; at session end
     the witness fails the run if any lock-order inversion was recorded —
     even one that did not happen to deadlock this time.

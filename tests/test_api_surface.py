@@ -2,7 +2,7 @@
 
 This suite pins the surface promised by the serving-API consolidation:
 ``repro`` re-exports the serving layer, ``EngineConfig`` is the one
-construction path (legacy kwargs warn exactly once), and misspelled
+construction path, and misspelled
 string selectors fail up front with the valid choices listed.
 """
 
@@ -62,37 +62,12 @@ class TestReExports:
 
 
 class TestEngineConfig:
-    def test_legacy_kwargs_warn_once_and_match_config(self):
-        session = make_session()
-        with pytest.warns(DeprecationWarning) as caught:
-            legacy = UpgradeEngine(session, workers=0, cache=False)
-        assert len(caught) == 1
-        assert "EngineConfig" in str(caught[0].message)
-        explicit = UpgradeEngine(
-            session, EngineConfig(workers=0, cache=False)
-        )
-        try:
-            assert legacy.config == explicit.config
-            a = legacy.query(TopKQuery(k=3))
-            b = explicit.query(TopKQuery(k=3))
-            assert [r.record_id for r in a.results] == [
-                r.record_id for r in b.results
-            ]
-        finally:
-            legacy.close()
-            explicit.close()
-
     def test_config_construction_does_not_warn(self):
         session = make_session()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             with UpgradeEngine(session, EngineConfig(workers=0)) as engine:
                 engine.query(TopKQuery(k=2))
-
-    def test_unknown_kwarg_is_a_config_error(self):
-        session = make_session()
-        with pytest.raises(ConfigurationError, match="worker"):
-            UpgradeEngine(session, wokers=2)
 
     def test_metrics_reports_resolved_config(self):
         session = make_session()

@@ -55,7 +55,7 @@ def make_session(seed, n_competitors=30, n_products=18):
 
 
 def respawn_count(engine):
-    return sum(h.respawns for h in engine._handles)
+    return sum(h.respawns for h in engine._executor._handles)
 
 
 def wait_for_respawn(engine, target, deadline_s=RESPAWN_TIMEOUT):
@@ -69,7 +69,7 @@ def wait_for_respawn(engine, target, deadline_s=RESPAWN_TIMEOUT):
     deadline = time.monotonic() + deadline_s
     while time.monotonic() < deadline:
         if respawn_count(engine) >= target and all(
-            h.alive for h in engine._handles
+            h.alive for h in engine._executor._handles
         ):
             return
         time.sleep(0.1)
@@ -91,7 +91,7 @@ def engine():
 def test_kill_idle_worker_then_query(engine):
     baseline = engine.query(TopKQuery(k=5)).results
     respawns = respawn_count(engine)
-    engine._handles[0].kill()
+    engine._executor._handles[0].kill()
     # The next query either races the death (typed failure) or lands
     # after the respawn (correct answer).  Both are acceptable; a hang
     # or an untyped error is not.
@@ -121,7 +121,7 @@ def test_kill_during_inflight_request_never_hangs(engine):
     respawns = respawn_count(engine)
     worker = threading.Thread(target=run)
     worker.start()
-    engine._handles[1].kill()
+    engine._executor._handles[1].kill()
     worker.join(TIMEOUT)
     assert not worker.is_alive(), "in-flight request hung after kill"
     if "error" in outcome:
@@ -148,7 +148,7 @@ def test_kill_racing_mutation_stays_consistent(seed):
         kills = 0
         for step in range(4):
             if step == kill_at:
-                sharded._handles[step % 2].kill()
+                sharded._executor._handles[step % 2].kill()
                 kills += 1
             point = tuple(
                 round(rng.uniform(0.0, 10.0), 3) for _ in range(DIMS)
@@ -169,7 +169,7 @@ def test_kill_racing_mutation_stays_consistent(seed):
 
 def test_repeated_kills_keep_counting(engine):
     for round_no in range(2):
-        engine._handles[0].kill()
+        engine._executor._handles[0].kill()
         wait_for_respawn(engine, round_no + 1)
         engine.topk_cache.invalidate()
         assert engine.query(TopKQuery(k=3)).results

@@ -75,8 +75,8 @@ def test_topology_validation():
     config = EngineConfig(processes=2)  # shards defaults to per-process
     eng = ShardedUpgradeEngine(make_session(n_competitors=8), config)
     try:
-        assert eng.n_shards == 2
-        assert eng.n_processes == 2
+        assert eng._executor.n_shards == 2
+        assert eng._executor.n_processes == 2
     finally:
         eng.close()
 
@@ -89,8 +89,8 @@ def test_epoch_vector_bumps_only_owning_shard(engine):
     before = engine.epoch_vector
     rid = engine.add_competitor((2.0, 2.0, 2.0))
     after = engine.epoch_vector
-    owner = shard_of(rid, engine.n_shards)
-    for shard in range(engine.n_shards):
+    owner = shard_of(rid, engine._executor.n_shards)
+    for shard in range(engine._executor.n_shards):
         expected = before[shard] + (1 if shard == owner else 0)
         assert after[shard] == expected
     assert after[-1] == before[-1]  # product epoch untouched

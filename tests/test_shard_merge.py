@@ -235,6 +235,18 @@ class TestThresholdMergeDegraded:
         assert merge.done
         assert merge.coverage == 0.5
 
+    def test_held_sighting_stops_emission(self):
+        # A sighting whose cost is not exact (its skyline missed a live
+        # shard) has an unknown rank: nothing may be emitted after it,
+        # not even a cheaper-looking candidate, and the merge is done.
+        merge = ThresholdMerge(n_shards=1, k=3)
+        merge.observe(0, [(0.5, 1), (0.7, 2)], frontier=1.0, exhausted=False)
+        merge.add_candidate(result(1, 0.5))
+        merge.hold(2)
+        assert merge.drain() == []
+        assert merge.held and merge.done
+        assert merge.coverage == 1.0
+
     def test_exhausted_shard_is_not_marked_down(self):
         # An exhausted stream contributed everything it ever could:
         # marking its process down afterwards must not dent coverage.

@@ -37,6 +37,7 @@ from repro import (
     UpgradeEngine,
 )
 from repro.reliability.faults import FaultPlan, FaultSpec, inject_faults
+from repro.reliability.guards import KernelGuard
 from repro.serve.engine import QueryResponse
 from repro.shard import ShardedUpgradeEngine
 from repro.shard.resilience import (
@@ -373,6 +374,52 @@ def test_deadline_partials_are_prefixes_of_canonical_order(oracle):
         engine.close()
 
 
+def test_deadline_cut_skyline_scatter_keeps_the_prefix_exact(
+    oracle, monkeypatch
+):
+    # Pinned reproducer: the top-k streams answer in time, but the
+    # sightings' skyline scatter is stalled past the request's whole
+    # budget, so its wait ends deadline-bounded with at most one shard
+    # in the skylines and no shard marked down.  Costing from those
+    # skylines used to emit under-priced products at coverage 1.0; the
+    # merge must hold instead, leaving an exact (possibly empty) prefix.
+    k = 12
+    full = oracle.query(TopKQuery(k=k)).results
+    engine = sharded_engine(
+        make_session(seed=2012), kernel_guard=KernelGuard(sample_rate=0.0)
+    )
+    executor = engine._executor
+    scatter_skylines = executor._scatter_skylines
+    fired = []
+
+    def stalled(points, trace, remaining):
+        plan = FaultPlan(
+            seed=1,
+            points={
+                "shard.transport.delay": FaultSpec(
+                    rate=1.0, kind="latency", latency_s=remaining + 0.02
+                )
+            },
+        )
+        with inject_faults(plan) as injector:
+            out = scatter_skylines(points, trace, remaining)
+        fired.append(injector.fired("shard.transport.delay"))
+        return out
+
+    try:
+        assert engine.query(TopKQuery(k=k)).results == full  # warm
+        monkeypatch.setattr(executor, "_scatter_skylines", stalled)
+        response = engine.query(TopKQuery(k=k, deadline_s=0.5))
+        assert fired and fired[0] >= 1, "skyline scatter never stalled"
+        assert response.partial
+        assert response.coverage == 1.0
+        assert response.results == full[: len(response.results)]
+        monkeypatch.undo()
+        assert engine.query(TopKQuery(k=k)).results == full
+    finally:
+        engine.close()
+
+
 # ---------------------------------------------------------------------------
 # acceptance: SIGKILL mid-workload under transport delays
 
@@ -425,7 +472,7 @@ def test_worker_kill_mid_workload_acceptance(oracle):
             responses += engine.execute_batch(
                 chaos[:10], raise_errors=False
             )
-            engine._handles[1].kill()
+            engine._executor._handles[1].kill()
             for lo in range(10, len(chaos), 10):
                 responses += engine.execute_batch(
                     chaos[lo:lo + 10], raise_errors=False
@@ -472,7 +519,7 @@ def test_worker_kill_mid_workload_acceptance(oracle):
         # 4. After the respawn the engine serves exact answers again.
         deadline = time.monotonic() + RECOVERY_TIMEOUT
         while time.monotonic() < deadline:
-            if all(h.alive for h in engine._handles):
+            if all(h.alive for h in engine._executor._handles):
                 break
             time.sleep(0.1)
         final = engine.query(TopKQuery(k=k))
