@@ -3,38 +3,40 @@
 The implementation is recursive: ``insert_into`` descends to the correct
 level, appends the new entry, and propagates splits upward by returning the
 split-off sibling (or ``None``).  :class:`repro.rtree.tree.RTree` handles
-root splits.
+root splits.  ChooseSubtree scores all children of a node in one broadcast
+over their corner arrays (see :mod:`repro.rtree.split`); every tie falls
+to the first child in node order, as in Guttman's per-child loop (the
+reference in ``tests/test_rtree_split_reference.py``).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
-from repro.rtree.split import SplitFunction
+from repro.rtree.split import SplitFunction, areas, corners
 
 
 def choose_subtree(node: Node, entry: Entry) -> Entry:
     """Pick the child entry of ``node`` best suited to absorb ``entry``.
 
     Guttman's criterion: least area enlargement, ties broken by smallest
-    area, then by fewest entries in the child.
+    area, then by fewest entries in the child, then by position.  One
+    broadcast over the children's corner arrays and a stable
+    lexicographic sort pick it.
     """
-    best = None
-    best_key = None
-    for child_entry in node.entries:
-        enlargement = child_entry.mbr.enlargement(entry.mbr)
-        key = (
-            enlargement,
-            child_entry.mbr.area(),
-            len(child_entry.child.entries),
-        )
-        if best_key is None or key < best_key:
-            best_key = key
-            best = child_entry
-    assert best is not None, "choose_subtree called on an empty node"
-    return best
+    children = node.entries
+    assert children, "choose_subtree called on an empty node"
+    low, high = corners(children)
+    area = areas(low, high)
+    enlargement = areas(
+        np.minimum(low, entry.mbr.low), np.maximum(high, entry.mbr.high)
+    ) - area
+    count = [len(c.child.entries) for c in children]
+    return children[np.lexsort((count, area, enlargement))[0]]
 
 
 def insert_into(

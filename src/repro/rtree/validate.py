@@ -12,7 +12,6 @@ random insert/delete workloads).  Checks, for every node:
 from __future__ import annotations
 
 from repro.exceptions import RTreeError
-from repro.geometry.mbr import MBR
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree
 
@@ -67,7 +66,7 @@ def _validate_node(
         for e in node.entries:
             if not e.is_leaf_entry:
                 raise RTreeError("leaf node contains a non-leaf entry")
-            if e.mbr != MBR.from_point(e.point):
+            if e.mbr.low != e.point or e.mbr.high != e.point:
                 raise RTreeError(
                     f"leaf entry MBR {e.mbr} does not match point {e.point}"
                 )
