@@ -1,10 +1,9 @@
 """Planner-quality benchmark: chosen plan vs every fixed plan.
 
 For each recorded workload (small/large catalog, d in {2, 4}, varying
-k) every fixed physical plan is executed and timed, then the planner's
-adaptive loop is replayed against those measurements: plan, observe the
-chosen plan's measured runtime, re-plan if the feedback bumped the
-planner version.  The acceptance bar — the planner-chosen plan stays
+k) every fixed physical plan is executed and timed, and the planner's
+choice for that catalog profile and k is scored against those
+measurements.  The acceptance bar — the planner-chosen plan stays
 within 15% of the best fixed plan and is never the worst — is evaluated
 per row and summarized.  ``skyup bench-planner`` is the CLI wrapper;
 ``benchmarks/results/BENCH_planner.json`` records a run at the
@@ -17,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.types import UpgradeConfig
 from repro.exceptions import ConfigurationError
-from repro.instrumentation import Counters
 from repro.plan import (
     LogicalPlan,
     PhysicalPlan,
@@ -59,7 +57,6 @@ def run_planner_bench(
     k_values: Sequence[int] = (1, 10, 50),
     repeats: int = 2,
     seed: int = 2012,
-    adapt_rounds: int = 4,
     distribution: str = "independent",
     include_basic: Optional[bool] = None,
 ) -> Dict[str, object]:
@@ -71,9 +68,6 @@ def run_planner_bench(
         k_values: result depths per workload.
         repeats: timing repetitions per fixed plan (best is kept).
         seed: workload seed.
-        adapt_rounds: feedback rounds the planner gets per row (each
-            round observes the chosen plan's measured runtime and
-            re-plans if the version moved).
         distribution: synthetic competitor distribution.
         include_basic: force basic probing into the fixed grid; by
             default it only runs on the smallest 2-d workload (it is
@@ -85,10 +79,6 @@ def run_planner_bench(
     """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-    if adapt_rounds < 1:
-        raise ConfigurationError(
-            f"adapt_rounds must be >= 1, got {adapt_rounds}"
-        )
     from repro.bench.workloads import synthetic_workload
 
     rows: List[Dict[str, object]] = []
@@ -128,10 +118,7 @@ def run_planner_bench(
                 # every plan in a round equally instead of biasing
                 # whichever plan was measured back-to-back during it;
                 # best-of-rounds per plan discards the bad rounds.
-                best: Dict[str, Tuple[float, Counters]] = {
-                    plan.label: (float("inf"), Counters())
-                    for plan in plans
-                }
+                best = {plan.label: float("inf") for plan in plans}
                 for _ in range(repeats):
                     for plan in plans:
                         outcome = execute_plan(
@@ -144,16 +131,12 @@ def run_planner_bench(
                             max_entries=wl.max_entries,
                             product_tree=wl.product_tree,
                         )
-                        if outcome.report.elapsed_s < best[plan.label][0]:
-                            best[plan.label] = (
-                                outcome.report.elapsed_s,
-                                outcome.report.counters,
-                            )
-                measured: Dict[str, Tuple[float, Counters]] = dict(best)
+                        best[plan.label] = min(
+                            best[plan.label], outcome.report.elapsed_s
+                        )
                 rows.append(
                     _evaluate_row(
-                        size_name, n_p, n_t, dims, k,
-                        profile, measured, adapt_rounds,
+                        size_name, n_p, n_t, dims, k, profile, best
                     )
                 )
     within = [bool(r["within_15pct_of_best"]) for r in rows]
@@ -168,7 +151,6 @@ def run_planner_bench(
             "dims": list(dims_list),
             "k_values": list(k_values),
             "repeats": repeats,
-            "adapt_rounds": adapt_rounds,
             "distribution": distribution,
             "seed": seed,
             "within_factor": WITHIN_FACTOR,
@@ -190,44 +172,24 @@ def _evaluate_row(
     dims: int,
     k: int,
     profile,
-    measured: Dict[str, Tuple[float, Counters]],
-    adapt_rounds: int,
+    measured: Dict[str, float],
 ) -> Dict[str, object]:
-    """Replay the planner's adaptive loop against measured runtimes."""
-    planner = Planner()
-    logical = LogicalPlan(k=k, profile=profile)
-    planned = planner.plan(logical)
-    initial = planned.plan.label
-    for _ in range(adapt_rounds):
-        label = planned.plan.label
-        if label not in measured:
-            break
-        elapsed, counters = measured[label]
-        version = planner.version
-        planner.observe(planned, elapsed, counters)
-        if planner.version == version:
-            break
-        planned = planner.plan(logical)
-    chosen = planned.plan.label
+    """Score the planner's choice against the measured fixed plans."""
+    chosen = Planner().plan(LogicalPlan(k=k, profile=profile)).plan.label
     # The chosen plan's runtime is its fixed measurement — identical
     # work, so choice quality is compared free of re-timing noise.
-    planner_s = measured.get(chosen, (float("inf"), None))[0]
-    by_time = sorted(measured.items(), key=lambda item: item[1][0])
-    best_label, (best_s, _) = by_time[0]
-    worst_label, (worst_s, _) = by_time[-1]
+    planner_s = measured.get(chosen, float("inf"))
+    by_time = sorted(measured.items(), key=lambda item: item[1])
+    best_label, best_s = by_time[0]
+    worst_label, worst_s = by_time[-1]
     return {
         "workload": f"{size_name}-d{dims}",
         "n_competitors": n_p,
         "n_products": n_t,
         "dims": dims,
         "k": k,
-        "fixed_s": {label: s for label, (s, _) in measured.items()},
-        "planner": {
-            "initial": initial,
-            "chosen": chosen,
-            "seconds": planner_s,
-            "replans": planner.stats()["replans"],
-        },
+        "fixed_s": dict(measured),
+        "planner": {"chosen": chosen, "seconds": planner_s},
         "best": {"label": best_label, "seconds": best_s},
         "worst": {"label": worst_label, "seconds": worst_s},
         "within_15pct_of_best": planner_s <= WITHIN_FACTOR * best_s,

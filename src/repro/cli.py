@@ -650,11 +650,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         planner = default_planner()
         force = None
         if args.method != "auto":
-            force = PhysicalPlan(
-                method=args.method,
-                bound=args.bound,
-                vector_jl_from=planner.vector_jl_from,
-            )
+            force = PhysicalPlan(method=args.method, bound=args.bound)
         planned = planner.plan(
             LogicalPlan(k=args.k, profile=profile), force=force
         )

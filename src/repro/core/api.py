@@ -65,8 +65,9 @@ def top_k_upgrades(
             have picked.
         planner: the :class:`~repro.plan.planner.Planner` to consult
             (``method="auto"`` / ``explain=True`` only); defaults to the
-            shared process-wide planner, which accumulates calibration
-            feedback across calls.
+            shared process-wide planner.  Its choice depends on the
+            catalog and ``k`` alone; the planner only tallies choices
+            and estimate-vs-actual error across calls.
 
     Returns:
         The top-k results sorted by ascending upgrade cost, with a run
@@ -163,12 +164,7 @@ def _planned_top_k(
     logical = LogicalPlan(k=k, profile=profile, lbc_mode=lbc_mode)
     force = None
     if method != "auto":
-        force = PhysicalPlan(
-            method=method,
-            bound=bound,
-            lbc_mode=lbc_mode,
-            vector_jl_from=planner.vector_jl_from,
-        )
+        force = PhysicalPlan(method=method, bound=bound, lbc_mode=lbc_mode)
     planned = planner.plan(logical, force=force)
     outcome = execute_plan(
         planned.plan,
@@ -179,9 +175,7 @@ def _planned_top_k(
         config,
         max_entries,
     )
-    planner.observe(
-        planned, outcome.report.elapsed_s, outcome.report.counters
-    )
+    planner.observe(planned, outcome.report.elapsed_s)
     outcome.report.extras["plan"] = planned.plan.label
     if explain:
         report = planned.explain()

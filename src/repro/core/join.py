@@ -120,8 +120,8 @@ class JoinUpgrader:
             :mod:`repro.core.bounds`).
         vector_jl_from: join lists at or above this size take the columnar
             kernel paths; below it the scalar loops win.  Defaults to the
-            measured crossover; the query planner overrides it with a
-            calibrated value.
+            measured crossover; tests pass other values to force one
+            path.
 
     Example:
         >>> upgrader = JoinUpgrader(rp, rt, model, bound="clb")

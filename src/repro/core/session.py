@@ -399,30 +399,22 @@ class MarketSession:
         ids = sorted(self._competitor_points)
         return ids, [self._competitor_points[cid] for cid in ids]
 
-    def make_upgrader(
-        self,
-        bound: Optional[str] = None,
-        vector_jl_from: Optional[int] = None,
-    ) -> JoinUpgrader:
+    def make_upgrader(self, bound: Optional[str] = None) -> JoinUpgrader:
         """A :class:`JoinUpgrader` over the session's live indexes.
 
         The serving layer drives the progressive stream itself (for
         deadline checks between results) and harvests the upgrader's
         counters afterwards; plain callers should prefer :meth:`top_k` /
-        :meth:`stream`.  ``bound`` and ``vector_jl_from`` override the
-        session defaults — the query planner passes its chosen knobs here
-        without reconfiguring the session.
+        :meth:`stream`.  ``bound`` overrides the session default — the
+        query planner passes its chosen bound here without reconfiguring
+        the session.
         """
-        kwargs = {}
-        if vector_jl_from is not None:
-            kwargs["vector_jl_from"] = vector_jl_from
         return JoinUpgrader(
             self._competitors,
             self._products,
             self.cost_model,
             bound=self.bound if bound is None else bound,
             config=self.config,
-            **kwargs,
         )
 
     def top_k(self, k: int = 1) -> UpgradeOutcome:

@@ -209,60 +209,3 @@ def fit_attribute_cost(
         except CostFunctionError:
             continue
     return min(candidates, key=lambda r: r.rmse)
-
-
-@dataclass(frozen=True)
-class UnitCostFit:
-    """Per-unit work costs fitted from (counters, runtime) observations."""
-
-    coefficients: Tuple[float, ...]
-    rmse: float
-
-    def predict(self, features: Sequence[float]) -> float:
-        """Predicted runtime in seconds for one feature vector."""
-        return float(
-            sum(c * f for c, f in zip(self.coefficients, features))
-        )
-
-
-def fit_unit_costs(
-    features: Sequence[Sequence[float]],
-    runtimes: Sequence[float],
-) -> UnitCostFit:
-    """Fit non-negative per-unit costs mapping work counters to seconds.
-
-    The query planner models runtime as a non-negative linear combination
-    of work counters (node accesses, dominance tests, upgrade work):
-    ``t ≈ Σ_j u_j · x_j``.  This solves the least-squares problem and
-    projects onto ``u ≥ 0`` with an active-set loop: any negative
-    coefficient is clamped to zero and the remaining columns are refit,
-    repeating until all survivors are non-negative (Lawson–Hanson without
-    the inner line search — adequate for the planner's 2-4 features).
-    """
-    x = np.asarray(features, dtype=np.float64)
-    t = np.asarray(runtimes, dtype=np.float64)
-    if x.ndim != 2 or t.ndim != 1 or x.shape[0] != t.shape[0]:
-        raise CostFunctionError(
-            "features must be a 2-d matrix with one row per runtime"
-        )
-    if x.shape[0] < x.shape[1]:
-        raise CostFunctionError(
-            "need at least as many observations as features"
-        )
-    n_features = x.shape[1]
-    active = list(range(n_features))
-    coefficients = np.zeros(n_features)
-    for _ in range(n_features + 1):
-        if not active:
-            break
-        sub = x[:, active]
-        solution, *_ = np.linalg.lstsq(sub, t, rcond=None)
-        negative = [i for i, u in zip(active, solution) if u < 0]
-        if not negative:
-            for i, u in zip(active, solution):
-                coefficients[i] = float(u)
-            break
-        active = [i for i in active if i not in negative]
-    predicted = x @ coefficients
-    rmse = float(np.sqrt(np.mean((predicted - t) ** 2)))
-    return UnitCostFit(tuple(coefficients), rmse)

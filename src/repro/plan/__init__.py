@@ -10,12 +10,14 @@ statistics the library already tracks.  This package closes that gap:
 * :mod:`repro.plan.logical` — the :class:`LogicalPlan` describing *what*
   to compute, independent of *how*;
 * :mod:`repro.plan.physical` — executable :class:`PhysicalPlan`
-  alternatives (method × bound × kernel cutover) and their execution;
+  alternatives (method × bound) and their execution;
 * :mod:`repro.plan.cost` — the :class:`PlanCostModel` mapping catalog
-  statistics to estimated work counters and seconds;
+  statistics to estimated work counters and, through a checked-in
+  unit-cost table, to seconds;
 * :mod:`repro.plan.planner` — the :class:`Planner`: enumerate, cost,
-  choose, and learn from observed runtimes (EWMA per-plan scales plus
-  periodic non-negative least-squares refits of the unit costs);
+  choose.  The choice is a pure function of the catalog profile and
+  ``k``; observed runtimes are recorded as estimate-vs-actual error for
+  ``metrics()`` and never change a later choice;
 * :mod:`repro.plan.explain` — the EXPLAIN tree with estimated vs actual
   costs per node, rendered by ``skyup explain`` and ``explain=True``.
 

@@ -11,20 +11,18 @@ Two-stage estimation, mirroring how the algorithms are instrumented:
    all of ``T`` before the heap drains, and measured counters confirm
    k-independence.
 2. **Unit costs** (seconds per node access / dominance test / unit of
-   upgrade work) turn counters into time.  Seeds come from the same
-   measurements; :meth:`PlanCostModel.refit` replaces them with
-   non-negative least-squares fits over *observed* (counters, runtime)
-   pairs once enough observations accumulate, and a per-plan EWMA scale
-   absorbs residual per-machine bias between refits.
+   upgrade work) turn counters into time.  They are the checked-in
+   ``_UNIT_COST_SEEDS`` table, taken from the same measurements; no
+   runtime observation changes them, so an estimate depends on the plan
+   and the catalog profile alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
-from repro.costs.calibration import fit_unit_costs
 from repro.exceptions import UnknownOptionError
 from repro.plan.logical import LogicalPlan
 from repro.plan.physical import PhysicalPlan
@@ -68,9 +66,6 @@ def _bound_work(bound: str, dims: int, sky: float) -> float:
             work -= _NLB_SKY_DISCOUNT * grown
     return max(work, 0.5)
 
-#: EWMA weight of the newest actual/estimated ratio.
-_SCALE_ALPHA = 0.3
-
 
 @dataclass(frozen=True)
 class WorkEstimate:
@@ -81,7 +76,7 @@ class WorkEstimate:
     upgrade_work: float
 
     def features(self) -> Tuple[float, float, float]:
-        """The regression feature vector, in unit-cost order."""
+        """The work counters, in unit-cost order."""
         return (self.node_accesses, self.dominance_tests, self.upgrade_work)
 
     def to_dict(self) -> dict:
@@ -95,16 +90,9 @@ class WorkEstimate:
 class PlanCostModel:
     """Maps (physical plan, logical plan) to estimated work and seconds.
 
-    Instances are not thread-safe on their own; the owning
-    :class:`~repro.plan.planner.Planner` serializes access.
+    Stateless: every estimate reads the profile and the checked-in
+    ``_UNIT_COST_SEEDS``, so instances are safe to share across threads.
     """
-
-    def __init__(self) -> None:
-        self.unit_costs: Dict[str, Tuple[float, float, float]] = dict(
-            _UNIT_COST_SEEDS
-        )
-        self.scales: Dict[str, float] = {}
-        self.refits = 0
 
     # -- work formulas -----------------------------------------------------
 
@@ -152,76 +140,16 @@ class PlanCostModel:
     def estimate_seconds(
         self, plan: PhysicalPlan, logical: LogicalPlan
     ) -> float:
-        """Estimated wall-clock seconds, including the learned scale."""
+        """Estimated wall-clock seconds from the checked-in unit costs."""
         work = self.estimate_work(plan, logical)
-        units = self.unit_costs[plan.family]
-        base = sum(u * f for u, f in zip(units, work.features()))
-        return base * self.scales.get(plan.label, 1.0)
-
-    # -- feedback ----------------------------------------------------------
-
-    def rescale(self, label: str, ratio: float) -> float:
-        """Fold one actual/estimated ratio into the plan's EWMA scale."""
-        ratio = min(max(ratio, 1e-3), 1e3)
-        old = self.scales.get(label, 1.0)
-        new = (1.0 - _SCALE_ALPHA) * old + _SCALE_ALPHA * old * ratio
-        self.scales[label] = new
-        return new
-
-    def snap_scale(self, label: str, ratio: float) -> None:
-        """Jump the scale straight to the observed ratio (misestimates)."""
-        old = self.scales.get(label, 1.0)
-        self.scales[label] = min(max(old * ratio, 1e-3), 1e3)
-
-    def refit(
-        self,
-        family: str,
-        features: Sequence[Sequence[float]],
-        runtimes: Sequence[float],
-    ) -> bool:
-        """Refit a family's unit costs from observed (counters, seconds).
-
-        Returns True when the fit was applied.  Fits that would zero out
-        every coefficient (degenerate observations) are rejected.
-        """
-        fit = fit_unit_costs(features, runtimes)
-        if not any(c > 0 for c in fit.coefficients):
-            return False
-        self.unit_costs[family] = fit.coefficients
-        # Unit costs now embody the observations; reset learned scales
-        # for that family so they re-converge against the new baseline.
-        for label in list(self.scales):
-            if label.startswith(family):
-                del self.scales[label]
-        self.refits += 1
-        return True
+        units = _UNIT_COST_SEEDS[plan.family]
+        return sum(u * f for u, f in zip(units, work.features()))
 
     def to_dict(self) -> dict:
         """Snapshot for metrics/EXPLAIN output."""
         return {
             "unit_costs": {
                 family: [float(f"{u:.3g}") for u in units]
-                for family, units in self.unit_costs.items()
+                for family, units in _UNIT_COST_SEEDS.items()
             },
-            "scales": {
-                label: round(scale, 4)
-                for label, scale in sorted(self.scales.items())
-            },
-            "refits": self.refits,
         }
-
-
-def mean_log_error(pairs: Sequence[Tuple[float, float]]) -> float:
-    """Geometric-mean |log(actual/estimated)| over (estimated, actual).
-
-    The planner's misestimate metric: symmetric in over/underestimation
-    and insensitive to workload scale.
-    """
-    if not pairs:
-        return 0.0
-    total = 0.0
-    for estimated, actual in pairs:
-        if estimated <= 0 or actual <= 0:
-            continue
-        total += abs(math.log(actual / estimated))
-    return total / len(pairs)

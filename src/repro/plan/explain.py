@@ -41,17 +41,15 @@ class PlanNode:
 
 @dataclass
 class ExplainReport:
-    """The full EXPLAIN answer: chosen plan, candidates, planner state."""
+    """The full EXPLAIN answer: chosen plan, candidates, catalog profile."""
 
     tree: PlanNode
     chosen: str
-    planner_version: int
     profile: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "chosen": self.chosen,
-            "planner_version": self.planner_version,
             "profile": self.profile,
             "tree": self.tree.to_dict(),
         }
@@ -92,7 +90,7 @@ def _render(
         )
 
 
-_REQUIRED_TOP = ("chosen", "planner_version", "profile", "tree")
+_REQUIRED_TOP = ("chosen", "profile", "tree")
 _REQUIRED_NODE = ("label", "estimated", "actual", "chosen")
 
 
@@ -109,8 +107,6 @@ def validate_explain_json(doc: dict) -> None:
             raise ValueError(f"explain document missing key {key!r}")
     if not isinstance(doc["chosen"], str) or not doc["chosen"]:
         raise ValueError("'chosen' must be a non-empty plan label")
-    if not isinstance(doc["planner_version"], int):
-        raise ValueError("'planner_version' must be an int")
     if not isinstance(doc["profile"], dict):
         raise ValueError("'profile' must be a dict")
     chosen_labels = _validate_node(doc["tree"], path="tree")

@@ -2,8 +2,8 @@
 
 A :class:`LogicalPlan` pairs the query shape (top-k over the current
 catalogs) with the :class:`~repro.plan.stats.CatalogProfile` the cost
-model will consult.  Physical concerns — which algorithm, which bound,
-which kernel cutover — live in :mod:`repro.plan.physical`.
+model will consult.  Physical concerns — which algorithm, which bound —
+live in :mod:`repro.plan.physical`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """The physical side of planning: *how* to compute, and execution.
 
-A :class:`PhysicalPlan` pins every knob the algorithms expose — method,
-join bound, per-pair bound mode, and the kernel-vs-scalar join-list
-cutover that used to be the hard-coded ``_VECTOR_JL_FROM`` constant.
+A :class:`PhysicalPlan` pins every knob the planner chooses between —
+method, join bound and per-pair bound mode.  The kernel-vs-scalar
+join-list cutover is not one of them: it is the join's own constant
+(``repro.core.join._VECTOR_JL_FROM``).
 :func:`execute_plan` runs one against built indexes, so
 :func:`repro.core.api.top_k_upgrades` and the serving engine share a
 single execution path for planner-chosen plans.
@@ -14,11 +15,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.bounds import BOUND_NAMES, LBC_MODES
-from repro.core.join import _VECTOR_JL_FROM, JoinUpgrader
+from repro.core.join import JoinUpgrader
 from repro.core.probing import basic_probing, improved_probing
 from repro.core.types import UpgradeConfig, UpgradeOutcome
 from repro.costs.model import CostModel
-from repro.exceptions import ConfigurationError, UnknownOptionError
+from repro.exceptions import UnknownOptionError
 from repro.rtree.tree import RTree
 
 #: Methods a physical plan can name (the planner enumerates these).
@@ -34,7 +35,6 @@ class PhysicalPlan:
     method: str
     bound: str = "clb"
     lbc_mode: str = "corrected"
-    vector_jl_from: int = _VECTOR_JL_FROM
 
     def __post_init__(self) -> None:
         if self.method not in PLAN_METHODS:
@@ -43,10 +43,6 @@ class PhysicalPlan:
             raise UnknownOptionError("bound", self.bound, BOUND_NAMES)
         if self.lbc_mode not in LBC_MODES:
             raise UnknownOptionError("lbc_mode", self.lbc_mode, LBC_MODES)
-        if self.vector_jl_from < 1:
-            raise ConfigurationError(
-                f"vector_jl_from must be >= 1, got {self.vector_jl_from}"
-            )
 
     @property
     def family(self) -> str:
@@ -62,19 +58,15 @@ class PhysicalPlan:
 
     def describe(self) -> str:
         """EXPLAIN node line: the label plus non-default knobs."""
-        parts = [self.label]
-        if self.method == "join":
-            parts.append(f"vec>={self.vector_jl_from}")
-            if self.lbc_mode != "corrected":
-                parts.append(f"lbc={self.lbc_mode}")
-        return " ".join(parts)
+        if self.method == "join" and self.lbc_mode != "corrected":
+            return f"{self.label} lbc={self.lbc_mode}"
+        return self.label
 
     def to_dict(self) -> dict:
         return {
             "method": self.method,
             "bound": self.bound,
             "lbc_mode": self.lbc_mode,
-            "vector_jl_from": self.vector_jl_from,
             "label": self.label,
         }
 
@@ -105,7 +97,6 @@ def execute_plan(
             bound=plan.bound,
             config=config,
             lbc_mode=plan.lbc_mode,
-            vector_jl_from=plan.vector_jl_from,
         )
         return upgrader.run(k)
     if plan.method == "probing":

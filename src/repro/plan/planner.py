@@ -1,41 +1,28 @@
-"""The planner: enumerate, cost, choose — then learn from what ran.
+"""The planner: enumerate, cost, choose.
 
 :meth:`Planner.plan` evaluates every physical alternative against the
 cost model and picks the cheapest (enumeration-order ties go to the
-join with the default bound, so a fresh planner on a toss-up catalog
-behaves exactly like the pre-planner default).  :meth:`Planner.observe`
-closes the loop after execution:
-
-* every run folds its actual/estimated ratio into the plan's EWMA scale;
-* ``misestimate_patience`` consecutive ratios outside
-  ``[1/misestimate_ratio, misestimate_ratio]`` snap the scale to the
-  observed value and bump :attr:`Planner.version` — callers that cache a
-  chosen plan (the serving engine) key on the version and re-plan;
-* once a family accumulates enough (counters, seconds) observations,
-  its unit costs are refit by non-negative least squares
-  (:func:`repro.costs.calibration.fit_unit_costs`), again bumping the
-  version.
-
-The kernel-vs-scalar join-list cutover — historically the hard-coded
-``_VECTOR_JL_FROM = 8`` — is a planner attribute:
-:meth:`calibrate_vector_cutover` micro-benchmarks the dominance kernel
-against the scalar loop on this machine and every subsequent join plan
-carries the measured crossover.
+join with the default bound, so a toss-up catalog behaves exactly like
+the pre-planner default).  The choice is a pure function of the catalog
+profile, ``k`` and the checked-in unit-cost table: measured runtimes
+never feed back into it, so two runs over the same catalog history make
+the same choices and their work counters reproduce.
+:meth:`Planner.observe` only records estimate-vs-actual per plan for
+``metrics()``.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.join import _VECTOR_JL_FROM
-from repro.exceptions import CostFunctionError
-from repro.geometry.point import dominates
-from repro.instrumentation import Counters, Stopwatch
-from repro.kernels.dominance import dominating_mask
+from repro.instrumentation import Counters
+# perfbench hooks `repro.plan.planner:dominating_mask` by name; keep the
+# name importable here although the planner no longer calls it.
+from repro.kernels.dominance import dominating_mask  # noqa: F401
 from repro.plan.cost import PlanCostModel, WorkEstimate
 from repro.plan.explain import ExplainReport, PlanNode
 from repro.plan.logical import LogicalPlan
@@ -69,7 +56,6 @@ class PlannedQuery:
     logical: LogicalPlan
     plan: PhysicalPlan
     candidates: Tuple[CandidateEstimate, ...]
-    version: int
     forced: bool = False
 
     @property
@@ -104,7 +90,6 @@ class PlannedQuery:
         return ExplainReport(
             tree=root,
             chosen=self.plan.label,
-            planner_version=self.version,
             profile=self.logical.profile.to_dict(),
         )
 
@@ -135,66 +120,34 @@ def attach_actual(
 
 @dataclass
 class _PlanHealth:
-    """Per-label feedback state."""
+    """Per-label estimate-vs-actual record."""
 
     observations: int = 0
-    miss_streak: int = 0
     last_ratio: float = 1.0
     estimate_log_error: float = 0.0
 
 
 class Planner:
-    """Thread-safe cost-based plan selection with calibration feedback.
+    """Thread-safe cost-based plan selection.
 
-    Args:
-        cost_model: override the seeded :class:`PlanCostModel`.
-        misestimate_ratio: actual/estimated beyond this (either way)
-            counts as a misestimate.
-        misestimate_patience: consecutive misestimates of one plan that
-            trigger a version bump (re-plan signal) and a scale snap.
-        refit_window: refit a family's unit costs every this many
-            observations of that family (needs at least one full window).
-        vector_jl_from: initial kernel cutover for join plans; replaced
-            by :meth:`calibrate_vector_cutover` when called.
+    Planning reads only its arguments and the checked-in cost model; the
+    lock guards the per-label choice and estimate-error tallies.
     """
 
-    def __init__(
-        self,
-        cost_model: Optional[PlanCostModel] = None,
-        misestimate_ratio: float = 3.0,
-        misestimate_patience: int = 3,
-        refit_window: int = 8,
-        vector_jl_from: int = _VECTOR_JL_FROM,
-    ) -> None:
-        self.cost_model = cost_model or PlanCostModel()
-        self.misestimate_ratio = misestimate_ratio
-        self.misestimate_patience = misestimate_patience
-        self.refit_window = refit_window
-        self.vector_jl_from = vector_jl_from  # guarded-by: _lock
-        self.version = 0  # guarded-by: _lock
-        self.calibrated_cutover = False  # guarded-by: _lock
+    def __init__(self) -> None:
+        self.cost_model = PlanCostModel()
         self._lock = threading.Lock()
-        self._health: Dict[str, _PlanHealth] = {}
-        self._samples: Dict[str, List[Tuple[Tuple[float, ...], float]]] = {}
-        self._plans_chosen: Dict[str, int] = {}
-        self._replans = 0
+        self._health: Dict[str, _PlanHealth] = {}  # guarded-by: _lock
+        self._plans_chosen: Dict[str, int] = {}  # guarded-by: _lock
 
     # -- planning ----------------------------------------------------------
 
-    # holds-lock: _lock
     def candidates(self, logical: LogicalPlan) -> List[PhysicalPlan]:
         """The physical alternatives enumerated for ``logical``."""
-        plans = []
-        for method, bound in _CANDIDATE_ORDER:
-            plans.append(
-                PhysicalPlan(
-                    method=method,
-                    bound=bound,
-                    lbc_mode=logical.lbc_mode,
-                    vector_jl_from=self.vector_jl_from,
-                )
-            )
-        return plans
+        return [
+            PhysicalPlan(method=method, bound=bound, lbc_mode=logical.lbc_mode)
+            for method, bound in _CANDIDATE_ORDER
+        ]
 
     def plan(
         self,
@@ -206,47 +159,45 @@ class Planner:
         ``force`` still costs the full candidate set — EXPLAIN on a fixed
         method shows what the planner *would* have picked.
         """
+        plans = self.candidates(logical)
+        if force is not None and all(p != force for p in plans):
+            plans.append(force)
+        estimates = [
+            CandidateEstimate(
+                plan,
+                self.cost_model.estimate_work(plan, logical),
+                self.cost_model.estimate_seconds(plan, logical),
+            )
+            for plan in plans
+        ]
+        if force is not None:
+            chosen = force
+        else:
+            chosen = min(estimates, key=lambda c: c.seconds).plan
         with self._lock:
-            estimates: List[CandidateEstimate] = []
-            plans = self.candidates(logical)
-            if force is not None and all(p != force for p in plans):
-                plans.append(force)
-            for plan in plans:
-                work = self.cost_model.estimate_work(plan, logical)
-                seconds = self.cost_model.estimate_seconds(plan, logical)
-                estimates.append(CandidateEstimate(plan, work, seconds))
-            if force is not None:
-                chosen = force
-            else:
-                chosen = min(estimates, key=lambda c: c.seconds).plan
             self._plans_chosen[chosen.label] = (
                 self._plans_chosen.get(chosen.label, 0) + 1
             )
-            return PlannedQuery(
-                logical=logical,
-                plan=chosen,
-                candidates=tuple(estimates),
-                version=self.version,
-                forced=force is not None,
-            )
+        return PlannedQuery(
+            logical=logical,
+            plan=chosen,
+            candidates=tuple(estimates),
+            forced=force is not None,
+        )
 
-    # -- feedback ----------------------------------------------------------
+    # -- estimate-vs-actual ------------------------------------------------
 
-    def observe(
-        self,
-        planned: PlannedQuery,
-        elapsed_s: float,
-        counters: Optional[Counters] = None,
-    ) -> None:
-        """Fold one execution's measured cost back into the model."""
+    def observe(self, planned: PlannedQuery, elapsed_s: float) -> None:
+        """Record one execution's actual/estimated ratio for ``metrics()``.
+
+        The record never reaches :meth:`plan`.
+        """
         estimated = planned.estimated_seconds
         if estimated <= 0 or elapsed_s <= 0:
             return
-        label = planned.plan.label
-        family = planned.plan.family
         ratio = elapsed_s / estimated
         with self._lock:
-            health = self._health.setdefault(label, _PlanHealth())
+            health = self._health.setdefault(planned.plan.label, _PlanHealth())
             health.observations += 1
             health.last_ratio = ratio
             alpha = 0.3
@@ -254,87 +205,6 @@ class Planner:
                 (1 - alpha) * health.estimate_log_error
                 + alpha * abs(float(np.log(ratio)))
             )
-            if (
-                ratio > self.misestimate_ratio
-                or ratio < 1.0 / self.misestimate_ratio
-            ):
-                health.miss_streak += 1
-            else:
-                health.miss_streak = 0
-            if health.miss_streak >= self.misestimate_patience:
-                # Repeated misestimates: jump the scale to reality and
-                # tell plan-caching callers to re-plan.
-                self.cost_model.snap_scale(label, ratio)
-                health.miss_streak = 0
-                self.version += 1
-                self._replans += 1
-            else:
-                self.cost_model.rescale(label, ratio)
-            if counters is not None:
-                features = (
-                    float(counters.node_accesses),
-                    float(counters.dominance_tests),
-                    float(
-                        counters.skyline_points
-                        * planned.logical.profile.dims
-                    ),
-                )
-                samples = self._samples.setdefault(family, [])
-                samples.append((features, elapsed_s))
-                if (
-                    len(samples) >= self.refit_window
-                    and len(samples) % self.refit_window == 0
-                ):
-                    self._refit_locked(family)
-
-    def _refit_locked(self, family: str) -> None:  # holds-lock: _lock
-        samples = self._samples[family][-4 * self.refit_window:]
-        features = [s[0] for s in samples]
-        runtimes = [s[1] for s in samples]
-        try:
-            applied = self.cost_model.refit(family, features, runtimes)
-        except CostFunctionError:
-            return
-        if applied:
-            self.version += 1
-
-    # -- kernel cutover calibration ---------------------------------------
-
-    def calibrate_vector_cutover(
-        self,
-        dims: int = 2,
-        sizes: Sequence[int] = (2, 4, 6, 8, 12, 16, 24, 32),
-        repeats: int = 300,
-    ) -> int:
-        """Measure the kernel-vs-scalar crossover for dominance filtering.
-
-        Times the columnar :func:`repro.kernels.dominance.dominating_mask`
-        against the scalar :func:`repro.geometry.point.dominates` loop on
-        join lists of increasing size and keeps the smallest size where
-        the kernel wins; join plans produced afterwards carry it.
-        """
-        rng = np.random.default_rng(7)
-        point = tuple(1.0 for _ in range(dims))
-        crossover = max(sizes)
-        for size in sorted(sizes):
-            block = rng.random((size, dims))
-            rows = [tuple(row) for row in block]
-            watch = Stopwatch()
-            for _ in range(repeats):
-                for row in rows:
-                    dominates(row, point)
-            scalar_s = watch.split()
-            for _ in range(repeats):
-                dominating_mask(block, point)
-            kernel_s = watch.split() - scalar_s
-            if kernel_s < scalar_s:
-                crossover = size
-                break
-        with self._lock:
-            self.vector_jl_from = max(1, crossover)
-            self.calibrated_cutover = True
-            self.version += 1
-            return self.vector_jl_from
 
     # -- introspection -----------------------------------------------------
 
@@ -342,10 +212,6 @@ class Planner:
         """Metrics snapshot (serving layer's ``planner`` section)."""
         with self._lock:
             return {
-                "version": self.version,
-                "replans": self._replans,
-                "vector_jl_from": self.vector_jl_from,
-                "calibrated_cutover": self.calibrated_cutover,
                 "plans_chosen": dict(sorted(self._plans_chosen.items())),
                 "plan_health": {
                     label: {
@@ -366,8 +232,8 @@ _default_planner_lock = threading.Lock()
 def default_planner() -> Planner:
     """The process-wide planner used by ``top_k_upgrades(method="auto")``.
 
-    One shared instance so one-shot API calls accumulate calibration
-    across invocations; long-lived engines own private planners instead.
+    One shared instance so one-shot API calls share their choice and
+    estimate-error tallies; long-lived engines own private planners.
     """
     global _default_planner
     with _default_planner_lock:

@@ -143,11 +143,7 @@ def _replay(
         "counters": metrics["counters"],
         "timings_s": metrics.get("timings_s", {}),
         "planner": (
-            {
-                "plans_chosen": metrics["planner"]["plans_chosen"],
-                "replans": metrics["planner"]["replans"],
-                "version": metrics["planner"]["version"],
-            }
+            {"plans_chosen": metrics["planner"]["plans_chosen"]}
             if metrics.get("planner") is not None
             else None
         ),
@@ -471,10 +467,7 @@ def format_report(report: Dict[str, object]) -> str:
                 f"{label}×{count}"
                 for label, count in sorted(planner["plans_chosen"].items())
             ) or "none"
-            lines.append(
-                f"  {mode:8s} plans: {chosen} "
-                f"(replans={planner['replans']})"
-            )
+            lines.append(f"  {mode:8s} plans: {chosen}")
     split = _timing_split(report)
     if split:
         lines.append(split)

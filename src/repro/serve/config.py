@@ -31,7 +31,7 @@ class EngineConfig:
             still work).
         method: how whole-catalog top-k queries execute — ``"auto"``
             (default: the engine's cost-based planner picks per catalog
-            epoch and re-plans on calibration feedback), ``"join"`` (the
+            epoch from the catalog profile alone), ``"join"`` (the
             fixed pre-planner behaviour), or ``"probing"`` (fixed
             improved probing).
         queue_capacity: admission bound of the request queue.

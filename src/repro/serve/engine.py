@@ -284,11 +284,11 @@ class LocalExecutor:
     def __init__(self, session: MarketSession, config: EngineConfig):
         self.session = session
         self.config = config
-        # Each engine owns its planner: calibration feedback from this
-        # catalog should not leak into unrelated processes' plans.
+        # Each engine owns its planner, so its choice and estimate-error
+        # tallies in ``metrics()`` describe this catalog alone.
         self.planner = Planner()
         self._plan_lock = threading.Lock()
-        self._plan_cache: Optional[Tuple[Epoch, int, PlannedQuery]] = None
+        self._plan_cache: Optional[Tuple[Epoch, PlannedQuery]] = None
 
     def epoch(self) -> Epoch:
         return self.session.epoch
@@ -310,9 +310,8 @@ class LocalExecutor:
     def _current_plan(self, epoch: Epoch) -> Optional[PlannedQuery]:
         """The planner's choice for this catalog epoch (None = fixed join).
 
-        Cached per ``(epoch, planner version)``: mutations move the epoch
-        and calibration feedback (repeated misestimates, unit-cost
-        refits) bumps the version, so either forces a re-plan.  With
+        Cached per epoch: the choice is a function of the catalog
+        profile, which only a mutation (a new epoch) can change.  With
         ``config.method="join"`` planning is skipped entirely — the
         fixed join path.
         """
@@ -320,12 +319,8 @@ class LocalExecutor:
             return None
         with self._plan_lock:
             cached = self._plan_cache
-            if (
-                cached is not None
-                and cached[0] == epoch
-                and cached[1] == self.planner.version
-            ):
-                return cached[2]
+            if cached is not None and cached[0] == epoch:
+                return cached[1]
         session = self.session
         with span("engine.plan", method=self.config.method):
             profile = profile_catalog(
@@ -337,13 +332,10 @@ class LocalExecutor:
             logical = LogicalPlan(k=1, profile=profile)
             force = None
             if self.config.method == "probing":
-                force = PhysicalPlan(
-                    method="probing",
-                    vector_jl_from=self.planner.vector_jl_from,
-                )
+                force = PhysicalPlan(method="probing")
             planned = self.planner.plan(logical, force=force)
         with self._plan_lock:
-            self._plan_cache = (epoch, planned.version, planned)
+            self._plan_cache = (epoch, planned)
         return planned
 
     def describe(self) -> Dict[str, object]:
@@ -400,10 +392,7 @@ class _LocalTopK:
             self._upgrader = (
                 session.make_upgrader()
                 if planned is None
-                else session.make_upgrader(
-                    bound=planned.plan.bound,
-                    vector_jl_from=planned.plan.vector_jl_from,
-                )
+                else session.make_upgrader(bound=planned.plan.bound)
             )
             self._gen = self._upgrader.results()
         try:
@@ -413,22 +402,19 @@ class _LocalTopK:
             return False
         return True
 
-    def finish(self, guarded: bool) -> None:
-        """Charge the run's work and feed the planner its runtime."""
+    def finish(self) -> None:
+        """Charge the run's work and record its estimate-vs-actual."""
         planned = self._planned
         if self._upgrader is not None:
             self._stats.merge(self._upgrader.stats)
         if planned is None:
             return
-        planner = self._executor.planner
-        if self._probing_s is not None:
-            planner.observe(planned, self._probing_s)
-        else:
-            planner.observe(
-                planned,
-                self._watch.split(),
-                None if guarded else self._upgrader.stats,
-            )
+        elapsed = (
+            self._probing_s
+            if self._probing_s is not None
+            else self._watch.split()
+        )
+        self._executor.planner.observe(planned, elapsed)
 
     def close(self) -> None:
         pass
@@ -1155,7 +1141,7 @@ class UpgradeEngine:
             # Run drained (or a deeper request already pulled enough):
             # everyone left gets the final answer.
             self._respond_topk(pending, run, epoch)
-        run.finish(guarded=False)
+        run.finish()
 
     def _guarded_topk(self, run, k_max: int) -> List[UpgradeResult]:
         """A sampled run: the answer is cross-checked before anyone sees it.
@@ -1171,7 +1157,7 @@ class UpgradeEngine:
         while not run.done and len(run.results) < k_max:
             if not run.advance(k_max, ()):
                 break
-        run.finish(guarded=True)
+        run.finish()
         results = run.results
         if not run.exact:
             return results

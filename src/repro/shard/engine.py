@@ -208,7 +208,6 @@ class ShardExecutor:
                 cost_model=self.session.cost_model,
                 bound=self.session.bound,
                 lbc_mode="corrected",
-                vector_jl_from=8,
                 config=self.session.config,
                 max_entries=self.session.competitor_index.max_entries,
                 method=self.config.method,
@@ -759,7 +758,7 @@ class _ShardTopK:
                 engine._store_skyline(point, skyline, result, self._epoch)
             merge.add_candidate(result)
 
-    def finish(self, guarded: bool) -> None:
+    def finish(self) -> None:
         pass
 
     def close(self) -> None:

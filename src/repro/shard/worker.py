@@ -89,7 +89,6 @@ class ShardSpec:
     cost_model: CostModel
     bound: str
     lbc_mode: str
-    vector_jl_from: int
     config: UpgradeConfig = field(default_factory=UpgradeConfig)
     max_entries: int = DEFAULT_MAX_ENTRIES
     method: str = "join"
@@ -169,7 +168,6 @@ class _WorkerState:
                     bound=spec.bound,
                     config=spec.config,
                     lbc_mode=spec.lbc_mode,
-                    vector_jl_from=spec.vector_jl_from,
                 )
                 per_shard[shard] = upgrader.shard_stream()
         self.streams[stream_id] = per_shard

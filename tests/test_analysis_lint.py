@@ -505,13 +505,13 @@ def plan_it():
 def test_sky701_accepts_downward_imports(tmp_path):
     source = '''\
 from repro.core.join import JoinUpgrader
-from repro.costs.calibration import fit_unit_costs
+from repro.costs.calibration import fit_attribute_cost
 from repro.instrumentation import Counters
 from repro.rtree.stats import collect_stats
 
 
 def fine():
-    return JoinUpgrader, fit_unit_costs, Counters, collect_stats
+    return JoinUpgrader, fit_attribute_cost, Counters, collect_stats
 '''
     write_tree(tmp_path, {"src/repro/plan/good.py": source})
     assert findings_for(tmp_path, "SKY701") == []

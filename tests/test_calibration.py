@@ -11,7 +11,6 @@ from repro.costs.attribute import (
 )
 from repro.costs.calibration import (
     fit_attribute_cost,
-    fit_unit_costs,
     fit_exponential,
     fit_linear,
     fit_piecewise,
@@ -117,41 +116,3 @@ class TestModelSelection:
     def test_repr(self):
         result = fit_linear(V, 10.0 - 3.0 * V)
         assert "linear" in repr(result)
-
-
-class TestUnitCostFit:
-    def test_recovers_exact_coefficients(self):
-        rng = np.random.default_rng(170)
-        true = np.array([5e-6, 2e-6, 5e-7])
-        x = rng.uniform(10, 1e6, (40, 3))
-        t = x @ true
-        fit = fit_unit_costs(x, t)
-        assert np.allclose(fit.coefficients, true, rtol=1e-6)
-        assert fit.rmse == pytest.approx(0.0, abs=1e-9)
-        assert fit.predict(x[0]) == pytest.approx(float(t[0]))
-
-    def test_clamps_negative_coefficients_to_zero(self):
-        # Second feature is anti-correlated with runtime; an
-        # unconstrained fit would give it a negative weight.
-        rng = np.random.default_rng(171)
-        x = rng.uniform(10, 1e4, (60, 2))
-        t = 3e-6 * x[:, 0] - 1e-7 * x[:, 1]
-        fit = fit_unit_costs(x, t)
-        assert all(u >= 0 for u in fit.coefficients)
-        assert fit.coefficients[1] == 0.0
-
-    def test_noisy_observations(self):
-        rng = np.random.default_rng(172)
-        true = np.array([1e-5, 3e-7])
-        x = rng.uniform(1e3, 1e6, (80, 2))
-        t = x @ true
-        t *= rng.uniform(0.9, 1.1, len(t))
-        fit = fit_unit_costs(x, t)
-        assert fit.coefficients[0] == pytest.approx(1e-5, rel=0.3)
-        assert fit.coefficients[1] == pytest.approx(3e-7, rel=0.3)
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(CostFunctionError):
-            fit_unit_costs([[1.0, 2.0]], [1.0, 2.0])
-        with pytest.raises(CostFunctionError):
-            fit_unit_costs([[1.0, 2.0]], [1.0])  # fewer rows than cols

@@ -33,8 +33,7 @@ def make_report(with_actual=True):
         children=[chosen, loser],
     )
     return ExplainReport(
-        tree=root, chosen="join[clb]", planner_version=0,
-        profile={"n_competitors": 400},
+        tree=root, chosen="join[clb]", profile={"n_competitors": 400},
     )
 
 
@@ -72,8 +71,8 @@ class TestValidateExplainJson:
 
     def test_rejects_missing_top_level_key(self):
         doc = make_report().to_dict()
-        del doc["planner_version"]
-        with pytest.raises(ValueError, match="planner_version"):
+        del doc["profile"]
+        with pytest.raises(ValueError, match="profile"):
             validate_explain_json(doc)
 
     def test_rejects_empty_chosen(self):

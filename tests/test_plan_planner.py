@@ -1,12 +1,12 @@
-"""The cost-based planner: profiling, enumeration, choice, feedback.
+"""The cost-based planner: profiling, enumeration, choice.
 
 The planner's contract has three parts pinned here: (1) enumeration
 covers every physical alternative and the choice is the cheapest
 estimate with the historical default winning ties; (2) whatever the
 planner picks, the *answer* is identical to every fixed method — plan
-choice changes work, never results; (3) the feedback loop reacts to
-repeated misestimates by bumping the version (the re-plan signal for
-plan-caching callers) and refits unit costs once enough samples accrue.
+choice changes work, never results; (3) planning is pure: the choice
+and every estimate depend on the catalog profile, ``k`` and the
+checked-in unit costs, never on observed runtimes.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from repro.plan import (
     execute_plan,
     profile_catalog,
 )
+from repro.plan.cost import _UNIT_COST_SEEDS
 from repro.plan.planner import _CANDIDATE_ORDER, attach_actual
 from repro.rtree.stats import collect_stats
 from repro.rtree.tree import RTree
@@ -189,65 +190,36 @@ class TestPlanIndependentAnswers:
         assert auto.report.extras["plan"]
 
 
-class TestFeedback:
+class TestPurePlanning:
     def make_planned(self, planner):
         P, T = make_workload()
         return planner.plan(LogicalPlan(k=1, profile=make_profile(P, T)))
 
-    def test_good_estimates_keep_version(self):
+    @pytest.mark.parametrize("ratio", [1.1, 2.9, 50.0, 0.01])
+    def test_observations_keep_the_plan(self, ratio):
         planner = Planner()
         planned = self.make_planned(planner)
         for _ in range(10):
-            planner.observe(planned, planned.estimated_seconds * 1.1)
-        assert planner.version == 0
+            planner.observe(planned, planned.estimated_seconds * ratio)
+        assert self.make_planned(planner) == self.make_planned(Planner())
 
-    def test_repeated_misestimates_bump_version(self):
-        planner = Planner(misestimate_ratio=3.0, misestimate_patience=3)
-        planned = self.make_planned(planner)
-        for _ in range(3):
-            planner.observe(planned, planned.estimated_seconds * 50.0)
-        assert planner.version == 1
-        assert planner.stats()["replans"] == 1
-
-    def test_scale_feedback_moves_estimates(self):
-        planner = Planner()
-        planned = self.make_planned(planner)
-        before = planned.estimated_seconds
-        planner.observe(planned, before * 2.9)  # inside the miss band
-        replanned = self.make_planned(planner)
-        assert replanned.estimated_seconds > before
-
-    def test_refit_after_enough_samples(self):
-        planner = Planner(refit_window=4)
-        planned = self.make_planned(planner)
-        counters = Counters()
-        counters.node_accesses = 50
-        counters.dominance_tests = 4000
-        counters.skyline_points = 300
-        for _ in range(4):
-            planner.observe(planned, 0.01, counters)
-        assert planner.cost_model.refits >= 1
-
-    def test_calibrate_vector_cutover(self):
-        planner = Planner()
-        before = planner.version
-        cutover = planner.calibrate_vector_cutover(repeats=5)
-        assert cutover >= 1
-        assert planner.vector_jl_from == cutover
-        assert planner.calibrated_cutover
-        assert planner.version == before + 1
+    def test_estimates_use_the_checked_in_unit_costs(self):
+        planned = self.make_planned(Planner())
+        for candidate in planned.candidates:
+            units = _UNIT_COST_SEEDS[candidate.plan.family]
+            assert candidate.seconds == sum(
+                u * f for u, f in zip(units, candidate.work.features())
+            )
 
     def test_stats_snapshot_shape(self):
         planner = Planner()
         planned = self.make_planned(planner)
         planner.observe(planned, planned.estimated_seconds)
         stats = planner.stats()
-        assert set(stats) >= {
-            "version", "replans", "vector_jl_from", "plans_chosen",
-            "plan_health", "cost_model",
-        }
+        assert set(stats) == {"plans_chosen", "plan_health", "cost_model"}
         (label,) = stats["plan_health"].keys()
         assert stats["plan_health"][label]["observations"] == 1
+        assert stats["plan_health"][label]["last_ratio"] == 1.0
 
 
 class TestExplainSurface:

@@ -1,17 +1,21 @@
 """Planner integration in the serving engine.
 
 The engine's default method is now ``"auto"``: it profiles the catalog,
-asks the planner for a physical plan, caches it per epoch, and feeds
-observed runtimes back.  The invariants pinned here: auto answers are
-bit-for-bit the legacy join answers (plan choice changes work, never
-results), ``method="join"`` bypasses planning entirely, mutations drop
-the cached plan, and the guarded/deadline paths survive a probing plan.
+asks the planner for a physical plan, and caches it per epoch.  The
+invariants pinned here: auto answers are bit-for-bit the legacy join
+answers (plan choice changes work, never results), ``method="join"``
+bypasses planning entirely, mutations drop the cached plan, observed
+runtimes never change a plan or its work counters, and the
+guarded/deadline paths survive a probing plan.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.core.session import MarketSession
+from repro.plan import Planner
 from repro.reliability.guards import KernelGuard
 from repro.serve import EngineConfig, TopKQuery, UpgradeEngine
 
@@ -61,7 +65,6 @@ class TestPlannerMetrics:
         planner = metrics["planner"]
         assert planner is not None
         assert sum(planner["plans_chosen"].values()) >= 1
-        assert planner["version"] >= 0
 
     def test_join_reports_no_planner(self):
         _, metrics = run_engine(EngineConfig(workers=0, method="join"))
@@ -95,6 +98,45 @@ class TestPlanCache:
             engine.query(TopKQuery(k=3))
             planner = engine.metrics()["planner"]
             assert sum(planner["plans_chosen"].values()) == 2
+
+
+class TestPlanIgnoresRuntimes:
+    """Plans and work counters follow the catalog history, not the clock."""
+
+    @staticmethod
+    def replay():
+        """(plan label, counter deltas) per top-k of a write+top-k stream."""
+        rng = np.random.default_rng(2012)
+        session = make_session(seed=23, n_p=600, n_t=120, dims=3)
+        steps = []
+        with UpgradeEngine(
+            session, EngineConfig(workers=0, method="auto")
+        ) as engine:
+            for _ in range(8):
+                engine.add_competitor(rng.random(3))
+                chosen = dict(engine.metrics()["planner"]["plans_chosen"])
+                before = engine.counters().as_dict()
+                engine.query(TopKQuery(k=3))
+                after = engine.counters().as_dict()
+                now = engine.metrics()["planner"]["plans_chosen"]
+                (label,) = [
+                    name for name, count in now.items()
+                    if count != chosen.get(name, 0)
+                ]
+                work = {name: after[name] - before[name] for name in after}
+                steps.append((label, work))
+        return steps
+
+    def test_skewed_runtimes_change_no_plan_or_counter(self, monkeypatch):
+        reference = self.replay()
+        observe = Planner.observe
+        skew = itertools.cycle((50.0, 0.01))
+
+        def skewed(planner, planned, elapsed_s, *args, **kwargs):
+            observe(planner, planned, elapsed_s * next(skew), *args, **kwargs)
+
+        monkeypatch.setattr(Planner, "observe", skewed)
+        assert self.replay() == reference
 
 
 class TestHardPaths:
