@@ -33,6 +33,21 @@ cost of any product below them; each popped entry is either
 The traversal is *progressive*: results stream out in ascending cost order
 without processing all of ``T`` (:meth:`JoinUpgrader.results`).
 
+A caller that keeps the competitor skyline can *seed* the join with it
+(``seed=``; :meth:`~repro.core.session.MarketSession.make_upgrader` does
+so with kernels on).  The first join list is then the points of
+``sky(P)`` inside ``ADR(root_T.max)``, as leaf entries, instead of
+``[root_P]``.  The seed is complete: a product's dominator skyline is
+``sky(D_t) = D_t ∩ sky(P)`` (:mod:`repro.skyline.maintained`), so each
+of its points is a ``sky(P)`` point in the product's ADR, and every ADR
+filter on the way down keeps it, because a product's ADR lies inside the
+ADR of each T-node above it.  ``sky(P)`` is an antichain, so a T-leaf is
+priced by the antichain rule, and a list of leaf entries has nothing for
+Heuristic 2 to open: no competitor node is read, and the node bounds are
+the per-pair LBCs against skyline points.  The answers equal the
+unseeded join's; only the work differs.  Paper mode and every library
+path build unseeded upgraders.
+
 With kernels on and a join list past the crossover, each join step is one
 broadcast over whole blocks instead of a mask call per entry: the
 refinement's dominance checks of all children against the join list, the
@@ -55,7 +70,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,6 +137,10 @@ class JoinUpgrader:
             kernel paths; below it the scalar loops win.  Defaults to the
             measured crossover; tests pass other values to force one
             path.
+        seed: the skyline of ``competitor_tree``'s points, if the caller
+            maintains it.  The join then starts from those points as
+            leaf entries instead of ``R_P``'s root and never opens a
+            competitor node (see the module docstring).
 
     Example:
         >>> upgrader = JoinUpgrader(rp, rt, model, bound="clb")
@@ -139,6 +158,7 @@ class JoinUpgrader:
         config: UpgradeConfig = _DEFAULT_CONFIG,
         lbc_mode: str = "corrected",
         vector_jl_from: int = _VECTOR_JL_FROM,
+        seed: Optional[Sequence[Tuple[float, ...]]] = None,
     ):
         if bound not in BOUND_NAMES:
             raise UnknownOptionError("bound", bound, BOUND_NAMES)
@@ -163,6 +183,7 @@ class JoinUpgrader:
         self.config = config
         self.lbc_mode = lbc_mode
         self.vector_jl_from = vector_jl_from
+        self.seed = seed
         self.stats = Counters()
         self._vector_bounds = supports_vector_bounds(cost_model)
 
@@ -209,8 +230,13 @@ class JoinUpgrader:
         stats = self.stats
         counter = itertools.count()
         root_t = self.product_tree.root_entry()
-        if self.competitor_tree.is_empty():
-            initial_jl: List[Entry] = []
+        if self.seed is not None:
+            seeds = (Entry.for_point(p, -1) for p in self.seed)
+            initial_jl: List[Entry] = [
+                e for e in seeds if mbr_overlaps_adr(e.mbr, root_t.mbr.high)
+            ]
+        elif self.competitor_tree.is_empty():
+            initial_jl = []
         else:
             root_p = self.competitor_tree.root_entry()
             initial_jl = (

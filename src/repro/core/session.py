@@ -13,8 +13,8 @@ queries run the join algorithm with valid bounds, so every answer agrees
 with a from-scratch recomputation — which the test suite asserts after
 randomized update interleavings.
 
-On the kernel path, per-product dominator skylines come from the
-competitor skyline the session maintains
+On the kernel path, per-product dominator skylines and the top-k join's
+first join list come from the competitor skyline the session maintains
 (:mod:`repro.skyline.maintained`): built by the first such query, then
 updated by each competitor mutation.
 """
@@ -119,7 +119,7 @@ class MarketSession:
         self.competitor_epoch = 0
         self.product_epoch = 0
         self._listeners: List[MutationListener] = []
-        # sky(P), built lazily by the first kernel-path dominator query
+        # sky(P), built lazily by the first kernel-path query
         # (a BBS over 20k competitors takes ~0.5 s, which set-up must not
         # pay); None until then.  Readers load the reference without the
         # lock: a snapshot is immutable and replaced in one swap.
@@ -408,6 +408,13 @@ class MarketSession:
         :meth:`stream`.  ``bound`` overrides the session default — the
         query planner passes its chosen bound here without reconfiguring
         the session.
+
+        With kernels on, the join is seeded with the maintained ``sky(P)``
+        (built here on first use, under ``_skyline_lock``): it starts
+        from those points, which hold every product's dominator skyline,
+        and opens no competitor node.  With kernels off it refines
+        ``R_P`` join lists as the paper does — the kernel guard's
+        oracle, which thereby stays independent of the snapshot.
         """
         return JoinUpgrader(
             self._competitors,
@@ -415,6 +422,11 @@ class MarketSession:
             self.cost_model,
             bound=self.bound if bound is None else bound,
             config=self.config,
+            seed=(
+                self._competitor_skyline().points
+                if kernels_enabled()
+                else None
+            ),
         )
 
     def top_k(self, k: int = 1) -> UpgradeOutcome:

@@ -12,6 +12,7 @@ random insert/delete workloads).  Checks, for every node:
 from __future__ import annotations
 
 from repro.exceptions import RTreeError
+from repro.geometry.mbr import MBR
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree
 
@@ -61,18 +62,19 @@ def _validate_node(
     if is_root and not node.is_leaf and len(node.entries) < 2:
         raise RTreeError("internal root must have at least two entries")
 
-    points = 0
     if node.is_leaf:
         for e in node.entries:
-            if not e.is_leaf_entry:
+            point = e.point
+            if point is None:
                 raise RTreeError("leaf node contains a non-leaf entry")
-            if e.mbr.low != e.point or e.mbr.high != e.point:
+            mbr = e.mbr
+            if mbr.low != point or mbr.high != point:
                 raise RTreeError(
                     f"leaf entry MBR {e.mbr} does not match point {e.point}"
                 )
-            points += 1
-        return points
+        return len(node.entries)
 
+    points = 0
     for e in node.entries:
         if e.is_leaf_entry:
             raise RTreeError("internal node contains a point entry")
@@ -82,11 +84,14 @@ def _validate_node(
                 f"level skew: node level {node.level} has child at "
                 f"level {child.level}"
             )
-        actual = child.compute_mbr()
-        if e.mbr != actual:
+        # The child's tight MBR without building one: per-dimension
+        # min/max over its entries' corners, each dimension one C pass.
+        low = tuple(map(min, zip(*[c.mbr.low for c in child.entries])))
+        high = tuple(map(max, zip(*[c.mbr.high for c in child.entries])))
+        if e.mbr.low != low or e.mbr.high != high:
             raise RTreeError(
                 f"stale entry MBR at level {node.level}: "
-                f"cached {e.mbr}, actual {actual}"
+                f"cached {e.mbr}, actual {MBR(low, high)}"
             )
         points += _validate_node(child, max_entries, min_entries, False)
     return points

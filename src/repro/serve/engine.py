@@ -42,12 +42,12 @@ itself in sync on :meth:`on_mutation`, answers
 :meth:`dominator_skyline` for one product with the fraction of the
 market it covered, and opens a top-k *run*: an object exposing
 ``results`` (an exact prefix of the canonical ``(cost, record_id)``
-order), ``done``, ``exhausted``, ``coverage``, ``exact`` and
-``advance(want, active)``.  The front end drives every run through the
-same deadline sweep, so retries, guards and degradation labels mean the
-same thing on both tiers.  The kernel guard compares only ``exact``
-answers (full coverage, not degraded): a shard that is down is not a
-kernel divergence.
+order), ``done``, ``exhausted``, ``coverage``, ``exact``, the ``method``
+and join ``bound`` it serves with, and ``advance(want, active)``.  The
+front end drives every run through the same deadline sweep, so retries,
+guards and degradation labels mean the same thing on both tiers.  The
+kernel guard compares only ``exact`` answers (full coverage, not
+degraded): a shard that is down is not a kernel divergence.
 
 Deadlines are *cooperative*: they are checked between progressive
 results, so a response can overshoot by at most one step of the run.
@@ -371,6 +371,8 @@ class _LocalTopK:
         self._planned = planned
         self._stats = stats
         self.method = planned.plan.method if planned is not None else "join"
+        # The join's bound: the planner's, or None for the session default.
+        self.bound = planned.plan.bound if planned is not None else None
         self.results: List[UpgradeResult] = []
         self.done = False
         self.exhausted = False
@@ -388,11 +390,8 @@ class _LocalTopK:
             self.done = True
             return True
         if self._gen is None:
-            session, planned = self._executor.session, self._planned
-            self._upgrader = (
-                session.make_upgrader()
-                if planned is None
-                else session.make_upgrader(bound=planned.plan.bound)
+            self._upgrader = self._executor.session.make_upgrader(
+                bound=self.bound
             )
             self._gen = self._upgrader.results()
         try:
@@ -962,13 +961,14 @@ class UpgradeEngine:
         return UpgradeResult(result.record_id, result.original, upgraded, cost)
 
     def _oracle_topk(
-        self, k: int, method: str = "join"
+        self, k: int, method: str, bound: Optional[str]
     ) -> List[UpgradeResult]:
         """The in-process scalar top-``k`` prefix (the guard's reference).
 
-        Recomputes with the same ``method`` the guarded run used, so the
-        comparison isolates kernel-vs-scalar.  Charged to the guard
-        counters, not the request counters.
+        Recomputes with the same ``method`` and join ``bound`` (None: the
+        session default) the guarded run used, so the comparison
+        isolates kernel-vs-scalar.  Charged to the guard counters, not
+        the request counters.
         """
         oracle_stats = Counters()
         with span("guard.recompute", kind="topk", k=k), use_kernels(False):
@@ -977,7 +977,7 @@ class UpgradeEngine:
                     self.session, k, oracle_stats
                 )
             else:
-                upgrader = self.session.make_upgrader()
+                upgrader = self.session.make_upgrader(bound=bound)
                 results = []
                 for result in upgrader.results():
                     results.append(result)
@@ -1149,8 +1149,8 @@ class UpgradeEngine:
         The run is driven to ``k_max`` regardless of deadlines (a
         divergent prefix must never be half-delivered), so every request
         gets its complete validated prefix.  The scalar oracle reruns the
-        *same* method in-process, so a disagreement indicts the kernels,
-        not the plan.  Only an ``exact`` run is compared: a reduced-
+        *same* method and bound in-process, so a disagreement indicts the
+        kernels, not the plan.  Only an ``exact`` run is compared: a reduced-
         coverage or degraded sharded answer differs from the oracle by
         design and is served with its labels.
         """
@@ -1161,7 +1161,7 @@ class UpgradeEngine:
         results = run.results
         if not run.exact:
             return results
-        oracle = self._oracle_topk(k_max, run.method)
+        oracle = self._oracle_topk(k_max, run.method, run.bound)
         guard = self.kernel_guard
         agree = len(results) == len(oracle) and all(
             served.record_id == truth.record_id

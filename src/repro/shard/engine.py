@@ -581,6 +581,8 @@ class _ShardTopK:
         self.method = (
             "probing" if executor.config.method == "probing" else "join"
         )
+        # Workers join at the session's default bound (``ShardSpec``).
+        self.bound: Optional[str] = None
         self._merge = ThresholdMerge(executor.n_shards, k_max)
         self._stream_id = next(executor._stream_ids)
         self._opened: Optional[List[ShardProcess]] = None

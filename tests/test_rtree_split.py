@@ -1,5 +1,7 @@
 """Tests for the node split strategies and the invariant checker."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,6 +140,26 @@ class TestValidator:
         )
         with pytest.raises(RTreeError):
             validate_rtree(tree)
+
+    @pytest.mark.parametrize("corner", ["low", "high"])
+    @pytest.mark.parametrize("direction", [-math.inf, math.inf])
+    def test_detects_one_ulp_stale_mbr(self, corner, direction):
+        tree = RTree(3, max_entries=4)
+        for i in range(40):
+            tree.insert((i * 0.013, (40 - i) * 0.021, (i % 7) * 0.1), i)
+        validate_rtree(tree)
+        entry = tree.root.entries[1]
+        fresh = entry.mbr
+        low, high = list(fresh.low), list(fresh.high)
+        side = low if corner == "low" else high
+        side[1] = math.nextafter(side[1], direction)
+        entry.mbr = MBR(low, high)
+        with pytest.raises(RTreeError) as err:
+            validate_rtree(tree)
+        assert str(err.value) == (
+            f"stale entry MBR at level {tree.root.level}: "
+            f"cached {entry.mbr}, actual {fresh}"
+        )
 
     @pytest.mark.parametrize(
         "low, high",

@@ -5,8 +5,9 @@ asks the planner for a physical plan, and caches it per epoch.  The
 invariants pinned here: auto answers are bit-for-bit the legacy join
 answers (plan choice changes work, never results), ``method="join"``
 bypasses planning entirely, mutations drop the cached plan, observed
-runtimes never change a plan or its work counters, and the
-guarded/deadline paths survive a probing plan.
+runtimes never change a plan or its work counters, the guard's scalar
+oracle reruns the planned bound, and the guarded/deadline paths survive
+a probing plan.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.session import MarketSession
+from repro.kernels.switch import kernels_enabled
 from repro.plan import Planner
 from repro.reliability.guards import KernelGuard
 from repro.serve import EngineConfig, TopKQuery, UpgradeEngine
@@ -162,6 +164,28 @@ class TestHardPaths:
             )
             guard = engine.metrics()["reliability"]["kernel_guard"]
             assert guard["checks"] >= 1 and guard["divergences"] == 0
+
+    def test_guard_reruns_the_planned_bound(self, monkeypatch):
+        session = make_session()
+        make_upgrader = session.make_upgrader
+        calls = []
+
+        def recording(bound=None):
+            calls.append((bound, kernels_enabled()))
+            return make_upgrader(bound=bound)
+
+        monkeypatch.setattr(session, "make_upgrader", recording)
+        config = EngineConfig(
+            workers=0, method="auto",
+            kernel_guard=KernelGuard(sample_rate=1.0),
+        )
+        with UpgradeEngine(session, config) as engine:
+            engine.query(TopKQuery(k=5))
+            (label,) = engine.metrics()["planner"]["plans_chosen"]
+        # The planner leaves the session default here, so an oracle at
+        # the default bound would show up as a different call.
+        assert label == "join[alb]" != f"join[{session.bound}]"
+        assert calls == [("alb", True), ("alb", False)]
 
     def test_guarded_path_under_forced_probing(self):
         config = EngineConfig(
