@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,7 +88,7 @@ from repro.core.dominators import (
     get_dominating_skyline_multi,
 )
 from repro.core.types import UpgradeConfig, UpgradeOutcome, UpgradeResult
-from repro.core.upgrade import upgrade, upgrade_batch
+from repro.core.upgrade import SlotTable, slot_table, upgrade, upgrade_batch
 from repro.costs.model import CostModel
 from repro.exceptions import ConfigurationError, UnknownOptionError
 from repro.geometry.point import dominates
@@ -186,6 +186,21 @@ class JoinUpgrader:
         self.seed = seed
         self.stats = Counters()
         self._vector_bounds = supports_vector_bounds(cost_model)
+        self._seed_order: List[Tuple[float, ...]] = []
+        self._seed_rows: Optional[np.ndarray] = None
+        self._seed_entries: List[Entry] = []
+        if seed is not None:
+            # The seed's canonical order and array, built once: every
+            # join list of a seeded run is a subset of the seed, and each
+            # seed entry's record id is its point's row here.
+            self._seed_order = canonical_order(seed)
+            self._seed_rows = np.array(
+                self._seed_order, dtype=np.float64
+            ).reshape(len(self._seed_order), product_tree.dims)
+            row_of = {p: i for i, p in enumerate(self._seed_order)}
+            self._seed_entries = [
+                Entry.for_point(p, row_of[tuple(p)]) for p in seed
+            ]
 
     # -- public API ----------------------------------------------------------
 
@@ -231,9 +246,10 @@ class JoinUpgrader:
         counter = itertools.count()
         root_t = self.product_tree.root_entry()
         if self.seed is not None:
-            seeds = (Entry.for_point(p, -1) for p in self.seed)
             initial_jl: List[Entry] = [
-                e for e in seeds if mbr_overlaps_adr(e.mbr, root_t.mbr.high)
+                e
+                for e in self._seed_entries
+                if mbr_overlaps_adr(e.mbr, root_t.mbr.high)
             ]
         elif self.competitor_tree.is_empty():
             initial_jl = []
@@ -301,13 +317,19 @@ class JoinUpgrader:
         self,
         points: List[Tuple[float, ...]],
         skylines: List[List[Tuple[float, ...]]],
+        owners: Optional[List[int]] = None,
     ) -> List[Tuple[float, Tuple[float, ...]]]:
         """Algorithm 1 for one product (paper mode) or a whole T-leaf.
 
-        Several products with kernels on go through one
-        :func:`~repro.core.upgrade.upgrade_batch` pass; otherwise each
-        product gets its own :func:`~repro.core.upgrade.upgrade` call,
-        the scalar oracle.  Both give the same ``(cost, upgraded)``.
+        Product ``i``'s dominator skyline is ``skylines[owners[i]]``
+        (``skylines[i]`` without ``owners``).  Several products with
+        kernels on go through one :func:`~repro.core.upgrade.upgrade_batch`
+        pass, which prices each listed skyline's slot candidates once.
+        Otherwise each product gets its own
+        :func:`~repro.core.upgrade.upgrade` call, the scalar oracle; the
+        products whose skylines are equal, point for point, share one
+        :func:`~repro.core.upgrade.slot_table`.  Both paths give the same
+        ``(cost, upgraded)``.
         """
         if (
             len(points) > 1
@@ -315,12 +337,30 @@ class JoinUpgrader:
             and self.cost_model.supports_vectorization()
         ):
             return upgrade_batch(
-                skylines, points, self.cost_model, self.config, self.stats
+                skylines, points, self.cost_model, self.config, self.stats,
+                owners,
             )
-        return [
-            upgrade(skyline, point, self.cost_model, self.config, self.stats)
-            for skyline, point in zip(skylines, points)
-        ]
+        if owners is not None:
+            skylines = [skylines[i] for i in owners]
+        # A lone product builds its own table, or takes the kernel path.
+        tables: Dict[Tuple[Tuple[float, ...], ...], SlotTable] = {}
+        priced = []
+        for skyline, point in zip(skylines, points):
+            table = None
+            if skyline and len(points) > 1:
+                key = tuple(skyline)
+                table = tables.get(key)
+                if table is None:
+                    table = tables[key] = slot_table(
+                        skyline, self.cost_model, self.config
+                    )
+            priced.append(
+                upgrade(
+                    skyline, point, self.cost_model, self.config, self.stats,
+                    table,
+                )
+            )
+        return priced
 
     def _push_final(
         self,
@@ -350,7 +390,8 @@ class JoinUpgrader:
             e.is_leaf_entry for e in jl
         ):
             self.stats.dominance_tests += len(jl)
-            return self._antichain_skylines(jl, [point])[0]
+            skylines, _ = self._antichain_skylines(jl, [point])
+            return skylines[0]
         return self._traversal_skyline(jl, point)
 
     def _antichain_skyline(
@@ -380,17 +421,24 @@ class JoinUpgrader:
 
     def _antichain_skylines(
         self, jl: List[Entry], points: List[Tuple[float, ...]]
-    ) -> List[List[Tuple[float, ...]]]:
+    ) -> Tuple[List[List[Tuple[float, ...]]], List[int]]:
         """Antichain-rule dominator skylines of several products at once.
 
         ``jl`` holds leaf entries only (see :meth:`_antichain_skyline`).
-        Its points are put into canonical order once; one
+        Its points are put into canonical order once (in a seeded run,
+        picked from the seed's order by record id); one
         :func:`~repro.kernels.dominance.dominating_mask` broadcast then
         marks, per product, which of them dominate it.  ``(sum, point)``
         totally orders distinct points, so filtering the one sorted list
         gives exactly what sorting and de-duplicating each product's own
-        dominators gives.  The caller charges the dominance tests (one
-        per entry of each product's own filtered list).
+        dominators gives.  Products with equal mask rows have equal
+        skylines, so each distinct row is listed once.  The caller charges
+        the dominance tests (one per entry of each product's own filtered
+        list).
+
+        Returns:
+            ``(skylines, owners)``: product ``i``'s skyline is
+            ``skylines[owners[i]]``.
         """
         with span(
             "join.leaf_skyline",
@@ -398,21 +446,32 @@ class JoinUpgrader:
             products=len(points),
             kernel_or_scalar="kernel",
         ) as sp:
-            order = canonical_order(e.point for e in jl)
-            if order and points:
-                rows = dominating_mask(
-                    np.array(order, dtype=np.float64),
-                    np.array(points, dtype=np.float64),
-                ).tolist()
+            if self._seed_rows is None:
+                order = canonical_order(e.point for e in jl)
+                rows = np.array(order, dtype=np.float64)
             else:
-                rows = [[]] * len(points)
-            skylines = [
-                [p for p, keep in zip(order, row) if keep] for row in rows
-            ]
-            size = sum(map(len, skylines))
+                picked = sorted({e.record_id for e in jl})
+                order = [self._seed_order[i] for i in picked]
+                rows = self._seed_rows[picked]
+            skylines: List[List[Tuple[float, ...]]] = [[]]
+            owners = [0] * len(points)
+            size = 0
+            if order and points:
+                mask = dominating_mask(
+                    rows, np.array(points, dtype=np.float64)
+                )
+                distinct: Dict[Tuple[bool, ...], int] = {}
+                owners = [
+                    distinct.setdefault(tuple(row), len(distinct))
+                    for row in mask.tolist()
+                ]
+                skylines = [
+                    list(itertools.compress(order, row)) for row in distinct
+                ]
+                size = int(mask.sum())
             self.stats.skyline_points += size
             sp.set(skyline_size=size)
-            return skylines
+            return skylines, owners
 
     def _traversal_skyline(
         self, jl: List[Entry], point: Tuple[float, ...]
@@ -440,10 +499,7 @@ class JoinUpgrader:
             and len(jl) >= self.vector_jl_from
         ):
             with stats.timed("kernel.pair_bounds"):
-                lows = np.array([e.mbr.low for e in jl], dtype=np.float64)
-                highs = np.array(
-                    [e.mbr.high for e in jl], dtype=np.float64
-                )
+                lows, highs = self._corners(jl)
                 return pair_bounds_vector(
                     t_low, lows, highs, self.cost_model, stats,
                     self.lbc_mode,
@@ -460,6 +516,19 @@ class JoinUpgrader:
                 )
                 for e in jl
             ]
+
+    def _corners(self, jl: List[Entry]) -> Tuple[np.ndarray, np.ndarray]:
+        """The low and high corners of ``jl``'s entries as two arrays.
+
+        In a seeded run every entry is a seed point, whose corners are
+        its row of the seed array.
+        """
+        if self._seed_rows is not None:
+            rows = self._seed_rows[[e.record_id for e in jl]]
+            return rows, rows
+        lows = np.array([e.mbr.low for e in jl], dtype=np.float64)
+        highs = np.array([e.mbr.high for e in jl], dtype=np.float64)
+        return lows, highs
 
     def _expand_product_entry(
         self,
@@ -481,6 +550,7 @@ class JoinUpgrader:
         stats.node_accesses += 1
         children = e_t.child.entries
         vector = kernels_enabled() and len(jl) >= self.vector_jl_from
+        price = self.lbc_mode == "corrected" and e_t.child.is_leaf
         with span(
             "join.expand",
             jl_len=len(jl),
@@ -489,26 +559,32 @@ class JoinUpgrader:
             kernel_or_scalar="kernel" if vector else "scalar",
         ):
             if vector:
-                jl_lows = np.array([e.mbr.low for e in jl], dtype=np.float64)
+                jl_lows, _ = self._corners(jl)
                 child_highs = np.array(
                     [child.mbr.high for child in children], dtype=np.float64
                 )
-                adr_rows = (
-                    (jl_lows[None, :, :] <= child_highs[:, None, :])
-                    .all(axis=2)
-                    .tolist()
+                adr = (jl_lows[None, :, :] <= child_highs[:, None, :]).all(
+                    axis=2
                 )
+                kept = adr.sum(axis=1).tolist()
+                stats.entries_pruned += len(jl) * len(children) - sum(kept)
+                if price and all(e.is_leaf_entry for e in jl):
+                    # Every child's list is all leaf entries: only its
+                    # length is needed (the antichain rule's tests).
+                    stats.dominance_tests += sum(kept)
+                    self._price_leaf(heap, jl, children, None, vector)
+                    return
                 child_jls = [
-                    [e for e, keep in zip(jl, row) if keep] for row in adr_rows
+                    list(itertools.compress(jl, row)) for row in adr.tolist()
                 ]
             else:
                 child_jls = [
                     [e for e in jl if mbr_overlaps_adr(e.mbr, child.mbr.high)]
                     for child in children
                 ]
-            for child_jl in child_jls:
-                stats.entries_pruned += len(jl) - len(child_jl)
-            if self.lbc_mode == "corrected" and e_t.child.is_leaf:
+                for child_jl in child_jls:
+                    stats.entries_pruned += len(jl) - len(child_jl)
+            if price:
                 self._price_leaf(heap, jl, children, child_jls, vector)
                 return
             for child, child_jl in zip(children, child_jls):
@@ -533,7 +609,7 @@ class JoinUpgrader:
         heap: List[tuple],
         jl: List[Entry],
         children: List[Entry],
-        child_jls: List[List[Entry]],
+        child_jls: Optional[List[List[Entry]]],
         vector: bool,
     ) -> None:
         """Price every product of a T-leaf and push each as final.
@@ -545,43 +621,46 @@ class JoinUpgrader:
         :meth:`_antichain_skylines` call over the leaf entries of the
         T-leaf's join list ``jl``: a point that dominates a product lies
         in the product's ADR, so the product's own filter drops none of
-        its dominators.  Without it, each product takes the scalar
+        its dominators.  ``child_jls`` is None when ``jl`` holds leaf
+        entries only; the caller has then charged the dominance tests.
+        Without ``vector``, each product takes the scalar
         :meth:`_antichain_skyline`, the oracle.
         """
         points = [child.point for child in children]
-        shared = {}
-        if vector:
-            leaf_entries = [e for e in jl if e.is_leaf_entry]
-            antichain = (
-                range(len(children))
-                if len(leaf_entries) == len(jl)
-                else [
-                    i
-                    for i, child_jl in enumerate(child_jls)
-                    if all(e.is_leaf_entry for e in child_jl)
-                ]
-            )
+        if not vector:
+            skylines = [
+                self._antichain_skyline(child_jl, point)
+                if all(e.is_leaf_entry for e in child_jl)
+                else self._traversal_skyline(child_jl, point)
+                for point, child_jl in zip(points, child_jls)
+            ]
+            priced = self._price(points, skylines)
+        elif child_jls is None:
+            skylines, owners = self._antichain_skylines(jl, points)
+            priced = self._price(points, skylines, owners)
+        else:
+            antichain = [
+                i
+                for i, child_jl in enumerate(child_jls)
+                if all(e.is_leaf_entry for e in child_jl)
+            ]
             self.stats.dominance_tests += sum(
                 len(child_jls[i]) for i in antichain
             )
-            shared = dict(
-                zip(
-                    antichain,
-                    self._antichain_skylines(
-                        leaf_entries, [points[i] for i in antichain]
-                    ),
-                )
+            skylines, shared = self._antichain_skylines(
+                [e for e in jl if e.is_leaf_entry],
+                [points[i] for i in antichain],
             )
-        skylines = [
-            shared[i]
-            if i in shared
-            else self._antichain_skyline(child_jl, point)
-            if all(e.is_leaf_entry for e in child_jl)
-            else self._traversal_skyline(child_jl, point)
-            for i, (point, child_jl) in enumerate(zip(points, child_jls))
-        ]
-        for child, priced in zip(children, self._price(points, skylines)):
-            self._push_final(heap, child, priced)
+            owners = [-1] * len(points)
+            for i, owner in zip(antichain, shared):
+                owners[i] = owner
+            for i, (point, child_jl) in enumerate(zip(points, child_jls)):
+                if owners[i] < 0:
+                    owners[i] = len(skylines)
+                    skylines.append(self._traversal_skyline(child_jl, point))
+            priced = self._price(points, skylines, owners)
+        for child, result in zip(children, priced):
+            self._push_final(heap, child, result)
 
     def _pick_competitor_entry(
         self,

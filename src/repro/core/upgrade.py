@@ -23,11 +23,23 @@ skyline point on every other dimension.  Correctness: the last point
 ``s_last.d_y - ε`` is strictly better than ``s.d_y``.  The extension can
 only lower the chosen cost (it adds candidates); the paper itself notes the
 optimality of Algorithm 1 as an open question (§VI).
+
+The slot candidates of lines 8-16, and their ``f_p`` values, depend on
+``S`` alone: only the ``d`` single-dimension candidates, the tails and the
+base cost ``f_p(p)`` depend on the product.  :func:`slot_table` sorts
+``S`` and prices its slots once, and products with equal skylines share
+one table (the join prices a T-leaf this way, and
+:func:`upgrade_batch` enumerates each distinct skyline's slots once).
+Sharing changes no bit of any answer: a slot's cost is the same
+``f_p(candidate)`` float however often it is read, each product
+subtracts its own base from it as the unshared loop does, and the
+candidates are visited in the same order under the same strict-``<``
+rule.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +63,7 @@ def upgrade(
     cost_model: CostModel,
     config: UpgradeConfig = _DEFAULT_CONFIG,
     stats: Optional[Counters] = None,
+    table: Optional["SlotTable"] = None,
 ) -> Tuple[float, Point]:
     """Upgrade ``product`` past the dominator skyline ``skyline``.
 
@@ -62,6 +75,11 @@ def upgrade(
         cost_model: the product cost function ``f_p``.
         config: ε, extended-mode, and validation switches.
         stats: optional counters (``upgrade_calls`` is incremented once).
+        table: :func:`slot_table` of ``skyline`` under the same model and
+            config, for a caller pricing several products against one
+            skyline; its points stand in for ``skyline``.  Built here
+            when omitted.  Only the scalar path reads the slots (the
+            kernel path prices its own block).
 
     Returns:
         ``(cost, upgraded_point)`` with
@@ -73,7 +91,7 @@ def upgrade(
             dominated point or a point that fails to dominate ``product``.
     """
     p = tuple(float(v) for v in product)
-    points: List[Point] = [tuple(float(v) for v in s) for s in skyline]
+    points = _as_points(skyline) if table is None else table.points
     _check_skyline(points, p, config)
     if stats is not None:
         stats.upgrade_calls += 1
@@ -103,8 +121,8 @@ def upgrade(
                 )
         if stats is not None:
             with stats.timed("scalar.upgrade"):
-                return _upgrade_scalar(points, p, cost_model, config)
-        return _upgrade_scalar(points, p, cost_model, config)
+                return _upgrade_scalar(points, p, cost_model, config, table)
+        return _upgrade_scalar(points, p, cost_model, config, table)
 
 
 def upgrade_batch(
@@ -113,15 +131,19 @@ def upgrade_batch(
     cost_model: CostModel,
     config: UpgradeConfig = _DEFAULT_CONFIG,
     stats: Optional[Counters] = None,
+    owners: Optional[Sequence[int]] = None,
 ) -> List[Tuple[float, Point]]:
     """:func:`upgrade` for several products, priced in one kernel pass.
 
-    ``skylines[i]`` is the dominator skyline of ``products[i]``.  Every
-    product's Algorithm 1 candidates go into one block that a single
-    ``vector_product_cost`` call prices, so many small skylines cost one
-    numpy dispatch instead of one Python loop each.  This is the kernel
-    path only: callers check :func:`~repro.kernels.switch.kernels_enabled`
-    and ``cost_model.supports_vectorization()`` and otherwise call
+    ``skylines[owners[i]]`` is the dominator skyline of ``products[i]``
+    (``skylines[i]`` without ``owners``), so products that share a
+    skyline can share its entry.  Every product's Algorithm 1 candidates
+    go into one block that a single ``vector_product_cost`` call prices:
+    each distinct skyline's slot candidates once, each product's own
+    single-dimension and tail candidates, and each product's base.  This
+    is the kernel path only: callers check
+    :func:`~repro.kernels.switch.kernels_enabled` and
+    ``cost_model.supports_vectorization()`` and otherwise call
     :func:`upgrade` per product, the oracle this must agree with.
 
     Returns:
@@ -129,27 +151,35 @@ def upgrade_batch(
         as :func:`upgrade` returns it; ``upgrade_calls`` grows by
         ``len(products)``.
     """
-    points = [tuple(float(v) for v in p) for p in products]
-    for skyline, p in zip(skylines, points):
-        _check_skyline(skyline, p, config)
     if stats is not None:
-        stats.upgrade_calls += len(points)
-    if not points:
+        stats.upgrade_calls += len(products)
+    if not len(products):
         return []
+    prods = np.array(products, dtype=np.float64)
+    dims = prods.shape[1]
+    for skyline in skylines:
+        _check_dims(skyline, dims)
+    if owners is None:
+        owners = range(len(skylines))
+    if config.validate:
+        for owner, p in zip(owners, map(tuple, prods.tolist())):
+            if skylines[owner]:
+                _validate_antichain(skylines[owner], p)
     rows = [s for skyline in skylines for s in skyline]
     with span(
         "upgrade.algorithm1",
-        products=len(points),
+        products=len(prods),
         skyline_size=len(rows),
         kernel_or_scalar="kernel",
     ):
         args = (
-            np.array(rows, dtype=np.float64).reshape(-1, len(points[0])),
+            np.array(rows, dtype=np.float64).reshape(-1, dims),
             [len(skyline) for skyline in skylines],
-            np.array(points, dtype=np.float64),
+            prods,
             cost_model,
             config.epsilon,
             config.extended,
+            owners,
         )
         if stats is None:
             return upgrade_kernel_batch(*args)
@@ -163,14 +193,72 @@ def _check_skyline(
     config: UpgradeConfig,
 ) -> None:
     """Dimensionality, and in validating mode Lemma 1's preconditions."""
-    dims = len(product)
+    _check_dims(skyline, len(product))
+    if config.validate and skyline:
+        _validate_antichain(skyline, product)
+
+
+def _check_dims(skyline: Sequence[Sequence[float]], dims: int) -> None:
     for s in skyline:
         if len(s) != dims:
             raise DimensionalityError(
                 f"skyline point has {len(s)} dims, product has {dims}"
             )
-    if config.validate and skyline:
-        _validate_antichain(skyline, product)
+
+
+class SlotTable(NamedTuple):
+    """Algorithm 1's product-independent half for one skyline ``S``.
+
+    Attributes:
+        points: ``S`` as float tuples, in input order.
+        per_dim: for each dimension ``D_k``: the lowest ``D_k`` value, the
+            last point in ``D_k`` order, the slot candidates of lines 8-16
+            in ascending ``D_k`` order, and their ``f_p`` values.
+    """
+
+    points: List[Point]
+    per_dim: List[Tuple[float, Point, List[Point], List[float]]]
+
+
+def slot_table(
+    skyline: Sequence[Sequence[float]],
+    cost_model: CostModel,
+    config: UpgradeConfig = _DEFAULT_CONFIG,
+) -> SlotTable:
+    """Sort and price what every product with dominator skyline ``S`` shares.
+
+    Lines 8-16's slot candidates are built from skyline points alone, so
+    products with equal (same points, same order) non-empty skylines can
+    share one table and pay only for their own candidates and base.
+    """
+    return _slot_table(_as_points(skyline), cost_model, config)
+
+
+def _slot_table(
+    points: List[Point], cost_model: CostModel, config: UpgradeConfig
+) -> SlotTable:
+    eps = config.epsilon
+    # s - ε for every point and dimension: each slot candidate takes
+    # s_i - ε on every dimension but D_k, and s_j[k] - ε on D_k.
+    lowered = [tuple(v - eps for v in s) for s in points]
+    per_dim = []
+    for k in range(len(points[0])):
+        order = sorted(range(len(points)), key=lambda i: points[i][k])
+        # Lines 8-16: slot between consecutive skyline points s_i < s_j on
+        # dimension k, matching s_i on every other dimension.
+        candidates = [
+            lowered[i][:k] + (lowered[j][k],) + lowered[i][k + 1 :]
+            for i, j in zip(order, order[1:])
+        ]
+        costs = list(map(cost_model.product_cost, candidates))
+        per_dim.append(
+            (points[order[0]][k], points[order[-1]], candidates, costs)
+        )
+    return SlotTable(points, per_dim)
+
+
+def _as_points(skyline: Sequence[Sequence[float]]) -> List[Point]:
+    return [tuple(float(v) for v in s) for s in skyline]
 
 
 def _upgrade_scalar(
@@ -178,35 +266,33 @@ def _upgrade_scalar(
     p: Point,
     cost_model: CostModel,
     config: UpgradeConfig,
+    table: Optional[SlotTable] = None,
 ) -> Tuple[float, Point]:
-    """The paper's Algorithm 1 verbatim — the kernel path's oracle."""
-    dims = len(p)
+    """The paper's Algorithm 1 verbatim — the kernel path's oracle.
+
+    Candidates are visited dimension by dimension (single, slots in
+    ascending ``D_k`` order, tail) and a later one wins only at a strictly
+    lower cost.  Slot costs come from ``table`` (built from ``points``
+    when omitted); each is ``f_p(candidate) - f_p(p)``, the same float
+    subtraction whether the table is shared or not.
+    """
+    if table is None:
+        table = _slot_table(points, cost_model, config)
     eps = config.epsilon
     base_cost = cost_model.product_cost(p)
     best_cost = float("inf")
     best: Optional[Point] = None
 
-    for k in range(dims):
-        ordered = sorted(points, key=lambda s: s[k])
-
+    for k, (lowest, s_last, candidates, costs) in enumerate(table.per_dim):
         # Lines 4-7: beat every skyline point on dimension k alone.
-        lowest = ordered[0]
-        candidate = p[:k] + (lowest[k] - eps,) + p[k + 1 :]
+        candidate = p[:k] + (lowest - eps,) + p[k + 1 :]
         cost = cost_model.product_cost(candidate) - base_cost
         if cost < best_cost:
             best_cost = cost
             best = candidate
 
-        # Lines 8-16: slot between consecutive skyline points s_i < s_j on
-        # dimension k, matching s_i on every other dimension.
-        for i in range(len(ordered) - 1):
-            s_i = ordered[i]
-            s_j = ordered[i + 1]
-            candidate = tuple(
-                (s_j[k] - eps) if x == k else (s_i[x] - eps)
-                for x in range(dims)
-            )
-            cost = cost_model.product_cost(candidate) - base_cost
+        for candidate, slot_cost in zip(candidates, costs):
+            cost = slot_cost - base_cost
             if cost < best_cost:
                 best_cost = cost
                 best = candidate
@@ -214,9 +300,8 @@ def _upgrade_scalar(
         if config.extended:
             # Tail extension: keep p's own d_k, match the last point on the
             # other dimensions (see module docstring for the proof).
-            s_last = ordered[-1]
             candidate = tuple(
-                p[x] if x == k else (s_last[x] - eps) for x in range(dims)
+                p[x] if x == k else (s_last[x] - eps) for x in range(len(p))
             )
             cost = cost_model.product_cost(candidate) - base_cost
             if cost < best_cost:

@@ -44,7 +44,7 @@ from repro.kernels.switch import (
 )
 from repro.kernels.upgrade_enum import (
     enumerate_candidates,
-    enumerate_candidates_batch,
+    enumerate_candidates_grouped,
     upgrade_kernel,
     upgrade_kernel_batch,
 )
@@ -56,7 +56,7 @@ __all__ = [
     "dominated_mask",
     "dominating_mask",
     "enumerate_candidates",
-    "enumerate_candidates_batch",
+    "enumerate_candidates_grouped",
     "kernels_enabled",
     "pair_bounds_block",
     "pairwise_dominance",

@@ -33,7 +33,7 @@ from repro.kernels import (
     dominated_mask,
     dominating_mask,
     enumerate_candidates,
-    enumerate_candidates_batch,
+    enumerate_candidates_grouped,
     kernels_enabled,
     pair_bounds_block,
     pairwise_dominance,
@@ -329,26 +329,36 @@ def test_upgrade_kernel_batch_matches_scalar(dims, extended):
         assert stats.upgrade_calls == len(products)
 
 
-def test_enumerate_candidates_batch_concatenates_segments():
-    """Each product's segment is its single-product block, in order."""
-    rng = np.random.default_rng(5)
-    pairs = [
-        (sky, p) for sky, p in zip(*_batch_instance(rng, 3)) if sky
+@pytest.mark.parametrize("dims", [2, 3, 4, 5])
+def test_enumerate_candidates_grouped_shares_slot_rows(dims):
+    """Products sharing a skyline read its slot rows from one copy."""
+    rng = np.random.default_rng(dims)
+    skylines = [sky for sky in _batch_instance(rng, dims)[0] if sky]
+    skylines += [skylines[0]]  # equal skylines listed twice stay apart
+    owners = [int(o) for o in rng.integers(0, len(skylines), size=12)]
+    products = [
+        tuple(max(s[d] for s in skylines[o]) + 0.25 for d in range(dims))
+        for o in owners
     ]
-    assert len(pairs) > 1
-    skylines, products = zip(*pairs)
     for extended in (False, True):
-        block, starts = enumerate_candidates_batch(
+        rows, gather, starts = enumerate_candidates_grouped(
             np.array([s for sky in skylines for s in sky]),
             [len(sky) for sky in skylines],
+            owners,
             np.array(products),
             0.5,
             extended,
         )
-        assert starts[-1] == len(block)
-        for i, (sky, p) in enumerate(zip(skylines, products)):
-            single = enumerate_candidates(np.array(sky), p, 0.5, extended)
-            assert np.array_equal(block[starts[i] : starts[i + 1]], single)
+        per_product = dims * (1 + int(extended))
+        slots = sum(dims * (len(sky) - 1) for sky in skylines)
+        assert len(rows) == slots + per_product * len(products)
+        assert starts[-1] == len(gather)
+        for i, (o, p) in enumerate(zip(owners, products)):
+            single = enumerate_candidates(
+                np.array(skylines[o]), p, 0.5, extended
+            )
+            got = rows[gather[starts[i] : starts[i + 1]]]
+            assert np.array_equal(got, single)
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 5), st.booleans())

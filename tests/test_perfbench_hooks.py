@@ -67,3 +67,50 @@ def test_every_expected_name_is_a_hook(perfbench):
     keys = _hook_keys(layers)
     for workload, expected in measure.EXPECTED.items():
         assert sorted(set(expected) - keys) == [], workload
+
+
+def _counting(monkeypatch, module_name, attr):
+    """Wrap ``module.attr`` as the traced run does; return its call list."""
+    module = importlib.import_module(module_name)
+    original = getattr(module, attr)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def test_hooked_algorithm1_names_are_called(monkeypatch):
+    """The names the traced run expects calls on are still the call sites.
+
+    A kernels-off top-k prices T-leaves through ``upgrade`` as
+    ``repro.core.join`` sees it (the kernel guard's scalar rerun), and a
+    kernels-on product query against a skyline past the crossover goes
+    through ``upgrade_kernel`` as ``repro.core.upgrade`` sees it.
+    """
+    from repro.core.session import MarketSession
+    from repro.data.generators import paper_workload
+    from repro.kernels import use_kernels
+    from repro.serve import EngineConfig, ProductQuery, UpgradeEngine
+
+    competitors, products = paper_workload(
+        "anti_correlated", 300, 40, 3, 2012
+    )
+    session = MarketSession.from_points(competitors, products)
+    join_upgrade = _counting(monkeypatch, "repro.core.join", "upgrade")
+    kernel = _counting(monkeypatch, "repro.core.upgrade", "upgrade_kernel")
+
+    with use_kernels(False):
+        assert len(session.top_k(3).results) == 3
+    assert join_upgrade
+
+    product = session.product_point(0)
+    assert len(session.dominator_skyline(product)) >= 48
+    with use_kernels(True), UpgradeEngine(
+        session, EngineConfig(workers=0)
+    ) as engine:
+        engine.query(ProductQuery(0))
+    assert kernel
